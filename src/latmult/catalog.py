@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fractional import FractionalParams, symbol_partial_sum
+from .fractional import FractionalParams, _terms
 from .lattice import LatticeSequence, as_index
 from .operators import MultiplierSymbol, PdoSymbol
 from .torus import TorusGrid, dft
@@ -32,10 +32,8 @@ def kernel_multiplier(k: LatticeSequence) -> MultiplierSymbol:
 
 def fractional_multiplier(params: FractionalParams, terms: int) -> MultiplierSymbol:
     """Truncated fractional symbol sum_{m<=terms} e^{-2 pi i m^k xi} m^{-lam-i gam}."""
-    k, lam, gam = params.power, params.decay, params.oscillation
-    m = np.arange(1, terms + 1, dtype=np.float64)
-    coeff = m ** (-lam) * np.exp(-1j * gam * np.log(m))
-    powers = np.array([float(i**k) for i in range(1, terms + 1)])
+    powers, coeff = _terms(params, terms)
+    powers = np.array(powers, dtype=np.float64)
 
     def ev(xi):
         return complex(np.exp(-2j * np.pi * xi[0] * powers) @ coeff)

@@ -44,7 +44,7 @@ from .operators import (
     pdo_matrix,
 )
 from .symbols import gohberg_decay, singular_tail
-from .torus import TorusGrid, TorusSamples, dft, inverse_dft
+from .torus import TorusGrid, TorusSamples, dft, inverse_dft, load_csv
 from .verification import run_all
 
 
@@ -83,12 +83,22 @@ def _norm_summary(f) -> dict:
     }
 
 
-def _write_text(path, text: str) -> None:
+def _write_text(text: str, path) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
         return
     with open(path, "w") as fh:
         fh.write(text)
+
+
+def _save(write, value, path) -> int:
+    """write(value, path); exit code 0, or 4 when the output is unwritable."""
+    try:
+        write(value, path)
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 4
+    return 0
 
 
 def cmd_apply(args) -> int:
@@ -118,11 +128,16 @@ def cmd_apply(args) -> int:
             shift = tuple(int(c) for c in args.shift.split(","))
             m = catalog.modulation_multiplier(shift)
         elif args.symbol == "grid-file":
-            from .torus import load_csv
-
-            samples = load_csv(args.symbol_file)
-            if samples.grid.resolution != grid.resolution:
-                print("error: symbol grid resolution mismatch", file=sys.stderr)
+            if args.symbol_file is None:
+                print("error: --symbol grid-file needs --symbol-file", file=sys.stderr)
+                return 2
+            try:
+                samples = load_csv(args.symbol_file)
+            except (OSError, ValueError) as exc:
+                print(f"error: cannot read symbol file: {exc}", file=sys.stderr)
+                return 2
+            if samples.grid != grid:
+                print("error: symbol grid does not match the input", file=sys.stderr)
                 return 2
             F = dft(f, grid)
             out = inverse_dft(
@@ -134,25 +149,19 @@ def cmd_apply(args) -> int:
             return 2
         if m is not None:
             out = apply_multiplier(m, f, grid, window)
-    try:
-        save_jsonl(out, args.out)
-    except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return 4
-    print(json.dumps({"output": args.out, "norms": _norm_summary(out)}))
-    return 0
+    rc = _save(save_jsonl, out, args.out)
+    if rc == 0:
+        print(json.dumps({"output": args.out, "norms": _norm_summary(out)}))
+    return rc
 
 
 def cmd_kernel(args) -> int:
     params = FractionalParams(args.k, args.lam, args.gamma)
     kern = fractional_kernel(params, args.max_m)
-    try:
-        save_jsonl(kern, args.out)
-    except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return 4
-    print(json.dumps({"output": args.out, "norms": _norm_summary(kern)}))
-    return 0
+    rc = _save(save_jsonl, kern, args.out)
+    if rc == 0:
+        print(json.dumps({"output": args.out, "norms": _norm_summary(kern)}))
+    return rc
 
 
 def cmd_norm(args) -> int:
@@ -258,9 +267,7 @@ def _scan_cell(k: int, lam: float, gamma: float, p: float, q: float, terms: int)
     else:
         m = np.arange(1, terms + 1, dtype=np.float64)
         st = float(np.sum(m ** (-lam * p)) ** (1.0 / p))
-    if q == 1.0 and 0 < lam < 1:
-        predicted = classify_conjecture1(p, q, lam, k)
-    elif q > 1.0 and q < p and 0 < lam < 1:
+    if 1.0 <= q < p and 0 < lam < 1:
         predicted = classify_conjecture1(p, q, lam, k)
     else:
         predicted = verdict.strong_1p
@@ -338,12 +345,7 @@ def cmd_scan(args) -> int:
                 ]
             )
         )
-    try:
-        _write_text(args.out, "\n".join(lines) + "\n")
-    except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return 4
-    return 0
+    return _save(_write_text, "\n".join(lines) + "\n", args.out)
 
 
 def cmd_kstar(args) -> int:
@@ -358,12 +360,7 @@ def cmd_kstar(args) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         lines.append(f"{args.k},{_fmt(args.lam)},{terms},{_fmt(value)}")
-    try:
-        _write_text(args.out, "\n".join(lines) + "\n")
-    except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return 4
-    return 0
+    return _save(_write_text, "\n".join(lines) + "\n", args.out)
 
 
 def cmd_gohberg(args) -> int:
@@ -383,12 +380,7 @@ def cmd_gohberg(args) -> int:
     for r, v in zip(report.radii, report.values):
         lines.append(f"{r},{_fmt(v)}")
     lines.append(f"# verdict={report.verdict}")
-    try:
-        _write_text(args.out, "\n".join(lines) + "\n")
-    except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return 4
-    return 0
+    return _save(_write_text, "\n".join(lines) + "\n", args.out)
 
 
 def cmd_spectrum(args) -> int:
@@ -403,12 +395,7 @@ def cmd_spectrum(args) -> int:
     lines = ["index,singular_value"]
     for i, v in enumerate(values):
         lines.append(f"{i},{_fmt(v)}")
-    try:
-        _write_text(args.out, "\n".join(lines) + "\n")
-    except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return 4
-    return 0
+    return _save(_write_text, "\n".join(lines) + "\n", args.out)
 
 
 def cmd_verify(args) -> int:
@@ -423,6 +410,7 @@ def cmd_verify(args) -> int:
                         "passed": bool(r.passed),
                         "measured": r.measured,
                         "tolerance": r.tolerance,
+                        "elapsed": r.elapsed,
                     }
                     for r in results
                 ],
@@ -507,8 +495,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=float, default=1.0)
     p.add_argument("--terms", type=int, default=1000)
     p.add_argument("--start-cell", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--seed", type=int, default=42)
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_scan)
 

@@ -46,16 +46,46 @@ class NormResult:
         return self.value
 
 
+def _coefficients(params: FractionalParams, m: np.ndarray) -> np.ndarray:
+    """Kernel values m^{-decay} e^{-i gamma ln m} for a float64 array of m >= 1."""
+    lam, gam = params.decay, params.oscillation
+    return m ** (-lam) * np.exp(-1j * gam * np.log(m))
+
+
+def _terms(params: FractionalParams, count: int) -> tuple[list[int], np.ndarray]:
+    """Support points m^power as exact Python ints, and their values, m <= count."""
+    powers = [m**params.power for m in range(1, count + 1)]
+    return powers, _coefficients(params, np.arange(1, count + 1, dtype=np.float64))
+
+
+def _iroot(n: int, k: int) -> int:
+    """Largest r >= 0 with r^k <= n (0 when n < 1), exact integer Newton."""
+    if n < 1:
+        return 0
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def _zeta_tail(s: float, N: int) -> float:
+    """Upper bound N^{1-s}/(s-1) - N^{-s}/2 + s N^{-s-1}/12 on sum_{m > N} m^{-s}.
+
+    Euler-Maclaurin through the first-derivative term, for s > 1; the
+    remainder is negative because m^{-s} is completely monotone.
+    """
+    N = float(N)
+    return N ** (1 - s) / (s - 1) - N**-s / 2.0 + s * N ** (-s - 1) / 12.0
+
+
 def fractional_kernel(params: FractionalParams, max_m: int) -> LatticeSequence:
     """Truncated kernel: value m^{-decay} e^{-i gamma ln m} at m^power, m <= max_m."""
     if max_m < 1:
         raise ValueError(f"max_m must be >= 1, got {max_m}")
-    k, lam, gam = params.power, params.decay, params.oscillation
-    m = np.arange(1, max_m + 1, dtype=np.float64)
-    vals = m ** (-lam) * np.exp(-1j * gam * np.log(m))
-    return LatticeSequence(
-        1, {(int(i) ** k,): complex(v) for i, v in zip(range(1, max_m + 1), vals)}
-    )
+    powers, coeff = _terms(params, max_m)
+    return LatticeSequence(1, {(n,): complex(c) for n, c in zip(powers, coeff)})
 
 
 def apply_fractional(
@@ -68,17 +98,18 @@ def apply_fractional(
     """
     if f.dim != 1 or out.dim != 1:
         raise ValueError("fractional operators act on dimension-1 sequences")
-    k, lam, gam = params.power, params.decay, params.oscillation
-    hi = out.hi[0]
+    k, lo, hi = params.power, out.lo[0], out.hi[0]
     entries: dict[tuple, complex] = {}
     for (s,), v in f.entries.items():
-        m = 1
-        while s + m**k <= hi:
-            n = s + m**k
-            if n >= out.lo[0]:
-                w = v * m ** (-lam) * np.exp(-1j * gam * math.log(m))
-                entries[(n,)] = entries.get((n,), 0j) + complex(w)
-            m += 1
+        # m runs over lo <= s + m^k <= hi, found by exact integer roots.
+        first = 1 if lo - s <= 1 else _iroot(lo - s - 1, k) + 1
+        last = _iroot(hi - s, k)
+        if first > last:
+            continue
+        w = v * _coefficients(params, np.arange(first, last + 1, dtype=np.float64))
+        for m, c in zip(range(first, last + 1), w.tolist()):
+            n = (s + m**k,)
+            entries[n] = entries.get(n, 0j) + c
     return sequence(1, entries)
 
 
@@ -98,22 +129,15 @@ def weak_norm_closed_form(params: FractionalParams, p: float) -> NormResult:
 def zeta(s: float, terms: int = 10**6) -> float:
     """Riemann zeta for s > 1 by partial sum plus Euler-Maclaurin tail.
 
-    Tail = N^{1-s}/(s-1) - N^{-s}/2 + s N^{-s-1}/12 - s(s+1)(s+2) N^{-s-3}/720;
-    the first omitted term is O(s^5 N^{-s-5}), far below 1e-10 for s >= 1.1
-    and N = 10^6.
+    Tail = _zeta_tail(s, N) - s(s+1)(s+2) N^{-s-3}/720; the first omitted
+    term is O(s^5 N^{-s-5}), far below 1e-10 for s >= 1.1 and N = 10^6.
     """
     if s <= 1:
         raise ValueError(f"zeta partial-sum evaluation needs s > 1, got {s}")
     n = np.arange(1, terms + 1, dtype=np.float64)
-    partial = float(np.sum(n**-s))
     N = float(terms)
-    tail = (
-        N ** (1 - s) / (s - 1)
-        - N**-s / 2.0
-        + s * N ** (-s - 1) / 12.0
-        - s * (s + 1) * (s + 2) * N ** (-s - 3) / 720.0
-    )
-    return partial + tail
+    tail = _zeta_tail(s, terms) - s * (s + 1) * (s + 2) * N ** (-s - 3) / 720.0
+    return float(np.sum(n**-s)) + tail
 
 
 def strong_norm_closed_form(params: FractionalParams, p: float) -> NormResult:
@@ -181,21 +205,11 @@ def symbol_partial_sum(
         raise ValueError(f"terms must be >= 1, got {terms}")
     if grid.dim != 1:
         raise ValueError("fractional symbols live on the 1-dimensional torus")
-    k, lam, gam = params.power, params.decay, params.oscillation
-    m = np.arange(1, terms + 1, dtype=np.float64)
-    coeff = m ** (-lam) * np.exp(-1j * gam * np.log(m))
-    powers = np.array([float(i**k) for i in range(1, terms + 1)])
-    xi = grid.nodes()[:, 0]
-    vals = np.exp(-2j * np.pi * np.outer(xi, powers)) @ coeff
-    if lam > 0.5:
-        s = 2.0 * lam
-        N = float(terms)
-        tail_sq = (
-            N ** (1 - s) / (s - 1)
-            - N**-s / 2.0
-            + s * N ** (-s - 1) / 12.0
-        )
-        tail = math.sqrt(max(tail_sq, 0.0))
+    powers, coeff = _terms(params, terms)
+    phase = np.outer(grid.nodes()[:, 0], np.array(powers, dtype=np.float64))
+    vals = np.exp(-2j * np.pi * phase) @ coeff
+    if params.decay > 0.5:
+        tail = math.sqrt(max(_zeta_tail(2.0 * params.decay, terms), 0.0))
     else:
         tail = None
     return SymbolPartialSum(TorusSamples(grid, vals), terms, tail)

@@ -69,9 +69,15 @@ class LatticeSequence:
         return np.array([abs(self.entries[i]) for i in self.support()])
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(indices, values) in lexicographic support order."""
+        """(indices, values) in lexicographic support order.
+
+        Raises ValueError when an index does not fit in int64.
+        """
         sup = self.support()
-        idx = np.array(sup, dtype=np.int64).reshape(len(sup), self.dim)
+        try:
+            idx = np.array(sup, dtype=np.int64).reshape(len(sup), self.dim)
+        except OverflowError:
+            raise ValueError("lattice index does not fit in int64") from None
         val = np.array([self.entries[i] for i in sup], dtype=np.complex128)
         return idx, val
 

@@ -30,12 +30,14 @@ def rearrangement(f: LatticeSequence) -> RearrangementProfile:
 
 
 def lp_norm(f: LatticeSequence, p: float) -> float:
-    """(sum |f|^p)^{1/p}, exact finite sum over the support."""
-    if p < 1:
+    """(sum |f|^p)^{1/p}, exact finite sum over the support; max |f| at p = inf."""
+    if not p >= 1:
         raise ValueError(f"p must be >= 1, got {p}")
     mags = f.magnitudes()
     if len(mags) == 0:
         return 0.0
+    if p == np.inf:
+        return float(np.max(mags))
     return float(np.sum(mags**p) ** (1.0 / p))
 
 
@@ -48,7 +50,7 @@ def distribution(f: LatticeSequence, alpha: float) -> int:
 
 def weak_norm(f: LatticeSequence, p: float) -> float:
     """Weak-l^{p,inf} quasinorm, max_j j^{1/p} f*_j over the rearrangement."""
-    if p <= 0:
+    if not p > 0:
         raise ValueError(f"p must be > 0, got {p}")
     prof = rearrangement(f)
     if prof.cardinality == 0:
@@ -64,7 +66,7 @@ def equivalent_seminorm(f: LatticeSequence, p: float, r: float | None = None) ->
     """
     if r is None:
         r = p / 2.0
-    if not 0 < r < p:
+    if not 0 < r < p:  # also rejects nan p or r
         raise ValueError(f"need 0 < r < p, got r={r}, p={p}")
     prof = rearrangement(f)
     if prof.cardinality == 0:

@@ -23,7 +23,7 @@ from .lattice import (
     sequence,
 )
 from .norms import lp_norm, weak_norm
-from .torus import TorusGrid, TorusSamples, dft, inverse_dft
+from .torus import TorusGrid, TorusSamples, dft, inverse_dft, sample_function
 
 MATRIX_CAP = 4096
 
@@ -66,8 +66,7 @@ class OperatorMatrix:
 def sample_multiplier(m: MultiplierSymbol, grid: TorusGrid) -> TorusSamples:
     if m.dim != grid.dim:
         raise ValueError("dimension mismatch")
-    vals = np.array([m.eval(x) for x in grid.nodes()], dtype=np.complex128)
-    return TorusSamples(grid, vals)
+    return sample_function(grid, m.eval)
 
 
 def apply_multiplier(
@@ -169,58 +168,9 @@ def opnorm_l1_lp(
     return OpNormEstimate(lp_norm(k, p), certified, shell)
 
 
-def opnorm_l2(A: OperatorMatrix, tol: float = 1e-10, max_iter: int = 2000) -> float:
-    """Largest singular value by power iteration on A*A.
-
-    Deterministic all-ones start, Rayleigh-quotient stopping at relative tol.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
-    return float(np.sqrt(_top_eig_hermitian(
-        A.entries.conj().T @ A.entries, tol=tol, max_iter=max_iter
-    )[0]))
-
-
-def _top_eig_hermitian(
-    B: np.ndarray,
-    tol: float,
-    max_iter: int,
-    orth: np.ndarray | None = None,
-) -> tuple[float, np.ndarray]:
-    """Top eigenpair of Hermitian PSD B, optionally deflated against `orth`."""
-    side = B.shape[0]
-
-    def project(v):
-        if orth is not None and orth.shape[1] > 0:
-            v = v - orth @ (orth.conj().T @ v)
-        return v
-
-    # All-ones start; fall back to basis vectors if it dies under deflation.
-    starts = [np.ones(side, dtype=np.complex128)] + [
-        np.eye(side, dtype=np.complex128)[:, i] for i in range(side)
-    ]
-    v = None
-    for cand in starts:
-        cand = project(cand)
-        nrm = np.linalg.norm(cand)
-        if nrm > 1e-12:
-            v = cand / nrm
-            break
-    if v is None:
-        return 0.0, np.zeros(side, dtype=np.complex128)
-
-    rayleigh = float(np.real(v.conj() @ B @ v))
-    for _ in range(max_iter):
-        w = project(B @ v)
-        nrm = np.linalg.norm(w)
-        if nrm == 0:
-            return 0.0, v
-        v = w / nrm
-        new = float(np.real(v.conj() @ B @ v))
-        if abs(new - rayleigh) <= tol * max(abs(new), 1e-300):
-            return max(new, 0.0), v
-        rayleigh = new
-    raise RuntimeError(f"power iteration did not converge in {max_iter} iterations")
+def opnorm_l2(A: OperatorMatrix) -> float:
+    """Largest singular value of the finite section (LAPACK matrix 2-norm)."""
+    return float(np.linalg.norm(A.entries, 2))
 
 
 def conjugation_residual(

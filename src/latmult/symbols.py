@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .lattice import MultiIndex, Window, as_index, add_index, neg_index
-from .operators import OperatorMatrix, PdoSymbol, _top_eig_hermitian
+from .operators import OperatorMatrix, PdoSymbol
 from .torus import TorusGrid, TorusSamples
 
 
@@ -40,14 +40,9 @@ def difference(sigma: Callable[[MultiIndex], complex], alpha, xi) -> complex:
     point = as_index(xi)
     if any(c < 0 for c in a):
         raise ValueError(f"alpha must be componentwise >= 0, got {a}")
-    total = 0j
-    for b in itertools.product(*(range(ai + 1) for ai in a)):
-        sign = (-1) ** (sum(a) - sum(b))
-        coeff = 1
-        for ai, bi in zip(a, b):
-            coeff *= math.comb(ai, bi)
-        total += sign * coeff * sigma(add_index(point, b))
-    return total
+    return sum(
+        (w * sigma(add_index(point, b)) for b, w in _difference_weights(a)), 0j
+    )
 
 
 def _difference_weights(alpha: MultiIndex) -> list[tuple[MultiIndex, float]]:
@@ -353,21 +348,9 @@ def gohberg_decay(
     )
 
 
-def singular_tail(
-    A: OperatorMatrix, count: int, tol: float = 1e-10, max_iter: int = 2000
-) -> list[float]:
-    """Top `count` singular values via deflated power iteration on A*A."""
+def singular_tail(A: OperatorMatrix, count: int) -> list[float]:
+    """Top `count` singular values of the finite section (LAPACK SVD), nonincreasing."""
     side = A.window.cardinality
-    if count > side:
-        raise ValueError(f"count {count} exceeds matrix side {side}")
-    B = A.entries.conj().T @ A.entries
-    basis = np.zeros((side, 0), dtype=np.complex128)
-    out = []
-    for _ in range(count):
-        eig, vec = _top_eig_hermitian(B, tol=tol, max_iter=max_iter, orth=basis)
-        out.append(math.sqrt(max(eig, 0.0)))
-        if np.linalg.norm(vec) == 0:
-            out.extend([0.0] * (count - len(out)))
-            break
-        basis = np.concatenate([basis, vec[:, None]], axis=1)
-    return sorted(out, reverse=True)
+    if not 0 <= count <= side:
+        raise ValueError(f"count {count} not in [0, matrix side {side}]")
+    return np.linalg.svd(A.entries, compute_uv=False)[:count].tolist()

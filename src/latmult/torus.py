@@ -39,17 +39,15 @@ class TorusGrid:
     def node_count(self) -> int:
         return self.resolution**self.dim
 
-    def nodes(self) -> np.ndarray:
-        """(M^dim, dim) array of node coordinates in [0,1)."""
-        axes = [np.arange(self.resolution) for _ in range(self.dim)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        j = np.stack([m.ravel() for m in mesh], axis=-1)
-        return j / self.resolution
-
     def node_indices(self) -> np.ndarray:
+        """(M^dim, dim) array of integer node indices j, lexicographic."""
         axes = [np.arange(self.resolution) for _ in range(self.dim)]
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
+
+    def nodes(self) -> np.ndarray:
+        """(M^dim, dim) array of node coordinates j/M in [0,1)."""
+        return self.node_indices() / self.resolution
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,21 +125,43 @@ def save_csv(F: TorusSamples, path) -> None:
 
 
 def load_csv(path) -> TorusSamples:
+    """Inverse of save_csv.  Every grid node must appear exactly once.
+
+    Raises ValueError for a malformed header or row, an index outside
+    [0, M), a duplicate row, or a missing node.
+    """
     with open(path) as fh:
         header = fh.readline().strip()
-        meta = dict(kv.split("=") for kv in header.split(","))
-        grid = TorusGrid(int(meta["dim"]), int(meta["M"]))
+        try:
+            meta = dict(kv.split("=") for kv in header.split(","))
+            grid = TorusGrid(int(meta["dim"]), int(meta["M"]))
+        except (KeyError, ValueError) as exc:
+            raise ValueError(f"{path}: bad header {header!r}: {exc}") from None
         fh.readline()  # column names
+        M, dim = grid.resolution, grid.dim
         values = np.zeros(grid.node_count, dtype=np.complex128)
-        rows = []
-        for line in fh:
-            line = line.strip()
-            if not line:
+        seen = np.zeros(grid.node_count, dtype=bool)
+        for lineno, line in enumerate(fh, start=3):
+            parts = line.strip().split(",")
+            if parts == [""]:
                 continue
-            parts = line.split(",")
-            j = tuple(int(c) for c in parts[: grid.dim])
-            rows.append((j, complex(float(parts[-2]), float(parts[-1]))))
-    order = {tuple(j): i for i, j in enumerate(map(tuple, grid.node_indices()))}
-    for j, v in rows:
-        values[order[j]] = v
+            if len(parts) != dim + 2:
+                raise ValueError(f"{path}: line {lineno}: expected {dim + 2} fields")
+            try:
+                j = [int(c) for c in parts[:dim]]
+                v = complex(float(parts[-2]), float(parts[-1]))
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}") from None
+            if any(not 0 <= c < M for c in j):
+                raise ValueError(f"{path}: line {lineno}: index {j} not in [0, {M})")
+            flat = 0
+            for c in j:
+                flat = flat * M + c
+            if seen[flat]:
+                raise ValueError(f"{path}: line {lineno}: duplicate node {j}")
+            seen[flat] = True
+            values[flat] = v
+    missing = grid.node_count - int(np.count_nonzero(seen))
+    if missing:
+        raise ValueError(f"{path}: {missing} of {grid.node_count} grid nodes missing")
     return TorusSamples(grid, values)

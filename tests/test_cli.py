@@ -3,9 +3,12 @@ import json
 import numpy as np
 import pytest
 
+from latmult.catalog import oscillating_decay_pdo
 from latmult.cli import main
 from latmult.fractional import FractionalParams, fractional_kernel
-from latmult.lattice import load_jsonl, save_jsonl, sequence, translate
+from latmult.lattice import centered_window, load_jsonl, save_jsonl, sequence, translate
+from latmult.operators import pdo_matrix
+from latmult.torus import TorusGrid
 
 
 @pytest.fixture
@@ -100,6 +103,25 @@ def test_apply_missing_input_exits_2(tmp_path):
             str(tmp_path / "o.jsonl"),
         ]
     )
+    assert rc == 2
+
+
+@pytest.mark.parametrize("symbol_file", [None, "nope.csv", "dup.csv"])
+def test_apply_bad_symbol_file_exits_2(seq_file, tmp_path, symbol_file):
+    _, path = seq_file
+    (tmp_path / "dup.csv").write_text("M=64,dim=1\nj1,re,im\n0,1.0,0.0\n0,1.0,0.0\n")
+    argv = ["apply", "--input", path, "--out", str(tmp_path / "o.jsonl"),
+            "--symbol", "grid-file", "--window=-4:4"]
+    if symbol_file is not None:
+        argv += ["--symbol-file", str(tmp_path / symbol_file)]
+    assert main(argv) == 2
+
+
+def test_apply_index_beyond_int64_exits_2(tmp_path):
+    path = str(tmp_path / "huge.jsonl")
+    save_jsonl(sequence(1, {(2**64,): 1.0}), path)
+    rc = main(["apply", "--input", path, "--out", str(tmp_path / "o.jsonl"),
+               "--window=1:8"])
     assert rc == 2
 
 
@@ -324,6 +346,20 @@ def test_spectrum_constant_symbol_flat(tmp_path):
         assert float(line.split(",")[1]) == pytest.approx(1.0, abs=1e-9)
 
 
+def test_spectrum_full_tail_matches_frobenius_norm(tmp_path):
+    out = str(tmp_path / "spec.csv")
+    argv = ["spectrum", "--symbol", "oscillating-decay", "--window-radius", "28",
+            "--count", "57", "--out", out]
+    assert main(argv) == 0
+    lines = open(out).read().splitlines()
+    values = np.array([float(line.split(",")[1]) for line in lines[1:]])
+    assert len(values) == 57
+    assert np.all(values >= 0) and np.all(np.diff(values) <= 0)
+    A = pdo_matrix(oscillating_decay_pdo(), centered_window(28), TorusGrid(1, 64))
+    frob_sq = np.linalg.norm(A.entries, "fro") ** 2
+    assert np.sum(values**2) == pytest.approx(frob_sq, rel=1e-12)
+
+
 def test_verify_text_passes(capsys):
     rc = main(["verify"])
     out = capsys.readouterr().out
@@ -340,3 +376,4 @@ def test_verify_json_and_fault_injection(capsys):
     flags = {r["criterion"]: r["passed"] for r in res}
     assert flags[1] is False
     assert all(flags[c] for c in range(2, 12))
+    assert all(isinstance(r["elapsed"], float) and r["elapsed"] >= 0 for r in res)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -55,17 +56,18 @@ def test_kernel_rejects_bad_params():
 
 def test_apply_matches_kernel_convolution():
     rng = np.random.default_rng(61)
-    params = FractionalParams(2, 0.6, 1.3)
     f = sequence(
         1,
         {(int(i),): complex(v) for i, v in zip(range(-3, 3), rng.standard_normal(6))},
     )
-    out = box((-3,), (40,))
-    direct = apply_fractional(params, f, out)
-    # any m with s + m^2 <= 40 contributes; m <= 7 covers all support points
-    oracle = convolve(fractional_kernel(params, 7), f)
-    for p in out.points():
-        assert abs(direct[p] - oracle[p]) < 1e-13
+    for k, lo in itertools.product((1, 2, 3), (-3, 7, 40)):
+        params = FractionalParams(k, 0.6, 1.3)
+        out = box((lo,), (40,))
+        direct = apply_fractional(params, f, out)
+        # any m with s + m^k <= 40 contributes; m <= 43 covers all support points
+        oracle = convolve(fractional_kernel(params, 43), f)
+        for p in out.points():
+            assert abs(direct[p] - oracle[p]) < 1e-13
 
 
 def test_apply_delta_reproduces_kernel():

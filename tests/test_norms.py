@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -186,3 +187,33 @@ def test_rearrangement_profile_sorted():
     assert all(
         a >= b for a, b in zip(prof.sorted_magnitudes, prof.sorted_magnitudes[1:])
     )
+
+
+@given(
+    st.lists(
+        st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False),
+        min_size=1,
+        max_size=12,
+    )
+)
+def test_sup_norm_is_max_magnitude(vals):
+    f = sequence(1, {(i,): v for i, v in enumerate(vals)})
+    expect = max(abs(complex(v)) for v in vals)
+    assert lp_norm(f, math.inf) == expect
+    assert weak_norm(f, math.inf) == expect
+
+
+@pytest.mark.parametrize(
+    "norm",
+    [
+        lambda f: lp_norm(f, math.nan),
+        lambda f: weak_norm(f, math.nan),
+        lambda f: equivalent_seminorm(f, math.nan),
+        lambda f: equivalent_seminorm(f, math.nan, 1.0),
+        lambda f: equivalent_seminorm(f, 2.0, math.nan),
+    ],
+    ids=["lp-p", "weak-p", "seminorm-p", "seminorm-p-with-r", "seminorm-r"],
+)
+def test_nan_exponent_rejected(norm):
+    with pytest.raises(ValueError):
+        norm(delta(0))

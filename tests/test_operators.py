@@ -238,11 +238,6 @@ def test_opnorm_l2_matches_svd_oracle():
         assert est == pytest.approx(np.linalg.svd(M, compute_uv=False)[0], rel=1e-8)
 
 
-def test_opnorm_l2_rejects_bad_tol():
-    with pytest.raises(ValueError):
-        opnorm_l2(OperatorMatrix(box((0,), (0,)), np.eye(1, dtype=complex)), tol=0.0)
-
-
 def test_delta_extremality():
     rng = np.random.default_rng(53)
     m = kernel_multiplier(random_seq(rng, span=3))

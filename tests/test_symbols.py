@@ -218,5 +218,7 @@ def test_singular_tail_scalar_operator_is_flat():
 
 
 def test_singular_tail_count_guard():
-    with pytest.raises(ValueError):
-        singular_tail(OperatorMatrix(box((0,), (1,)), np.eye(2, dtype=complex)), 3)
+    A = OperatorMatrix(box((0,), (1,)), np.eye(2, dtype=complex))
+    for count in (3, -1):
+        with pytest.raises(ValueError):
+            singular_tail(A, count)

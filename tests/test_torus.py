@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from latmult.fractional import FractionalParams, fractional_kernel
 from latmult.lattice import box, centered_window, delta, sequence, translate
 from latmult.norms import lp_norm
 from latmult.torus import (
@@ -147,3 +148,50 @@ def test_csv_round_trip_dim2(tmp_path):
     path = tmp_path / "samples2.csv"
     save_csv(F, path)
     assert load_csv(path) == F
+
+
+GOOD_ROWS = ["0,1.0,0.0", "1,2.0,0.5", "2,3.0,0.0", "3,4.0,-1.0"]
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        GOOD_ROWS[:3],
+        GOOD_ROWS[:2] + ["1,7.0,0.0"] + GOOD_ROWS[2:],
+        GOOD_ROWS[:3] + ["4,4.0,-1.0"],
+        GOOD_ROWS[:3] + ["-1,4.0,-1.0"],
+        GOOD_ROWS[:3] + ["3,4.0"],
+        GOOD_ROWS[:3] + ["3,4.0,-1.0,0.0"],
+        GOOD_ROWS[:3] + ["x,4.0,-1.0"],
+        GOOD_ROWS[:3] + ["3,4.0,oops"],
+    ],
+    ids=[
+        "missing-node",
+        "duplicate-row",
+        "index-above-range",
+        "index-below-range",
+        "too-few-fields",
+        "too-many-fields",
+        "bad-index",
+        "bad-value",
+    ],
+)
+def test_load_csv_rejects_bad_rows(tmp_path, rows):
+    path = tmp_path / "samples.csv"
+    path.write_text("M=4,dim=1\nj1,re,im\n" + "\n".join(rows) + "\n")
+    with pytest.raises(ValueError):
+        load_csv(path)
+
+
+def test_load_csv_accepts_rows_in_any_order(tmp_path):
+    path = tmp_path / "samples.csv"
+    path.write_text("M=4,dim=1\nj1,re,im\n" + "\n".join(GOOD_ROWS[::-1]) + "\n")
+    assert load_csv(path) == TorusSamples(
+        TorusGrid(1, 4), np.array([1.0, 2.0 + 0.5j, 3.0, 4.0 - 1.0j])
+    )
+
+
+def test_dft_of_index_beyond_int64_raises_value_error():
+    kern = fractional_kernel(FractionalParams(5, 0.5), 10**4)
+    with pytest.raises(ValueError, match="int64"):
+        dft(kern, TorusGrid(1, 64))
