@@ -154,9 +154,7 @@ def load_csv(path) -> TorusSamples:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from None
             if any(not 0 <= c < M for c in j):
                 raise ValueError(f"{path}: line {lineno}: index {j} not in [0, {M})")
-            flat = 0
-            for c in j:
-                flat = flat * M + c
+            flat = np.ravel_multi_index(j, (M,) * dim)
             if seen[flat]:
                 raise ValueError(f"{path}: line {lineno}: duplicate node {j}")
             seen[flat] = True
