@@ -44,7 +44,7 @@ from .operators import (
     pdo_matrix,
 )
 from .symbols import gohberg_decay, singular_tail
-from .torus import TorusGrid, TorusSamples, dft, inverse_dft, load_csv
+from .torus import TorusGrid, TorusSamples, alias_free, dft, inverse_dft, load_csv
 from .verification import run_all
 
 
@@ -64,13 +64,12 @@ def _parse_window(spec: str, dim: int) -> Window:
     return box(tuple(lo), tuple(hi))
 
 
-def _alias_free(points, resolution: int) -> bool:
-    seen = set()
-    for p in points:
-        key = tuple(c % resolution for c in p)
-        if key in seen:
-            return False
-        seen.add(key)
+def _aliased(points, resolution: int) -> bool:
+    """Report and return True when two points collide mod the grid resolution."""
+    if alias_free(points, resolution):
+        return False
+    msg = f"aliasing certificate failed: support and window collide mod {resolution}"
+    print(f"error: {msg}", file=sys.stderr)
     return True
 
 
@@ -113,14 +112,7 @@ def cmd_apply(args) -> int:
         out = apply_fractional(params, f, window)
     else:
         grid = TorusGrid(f.dim, args.grid_res)
-        if not _alias_free(
-            set(f.support()) | set(window.points()), grid.resolution
-        ):
-            print(
-                "error: aliasing certificate failed: support and window "
-                f"collide mod {grid.resolution}",
-                file=sys.stderr,
-            )
+        if _aliased(f.support() + window.points(), grid.resolution):
             return 3
         if args.symbol == "identity":
             m = catalog.identity_multiplier(f.dim)
@@ -170,16 +162,12 @@ def cmd_norm(args) -> int:
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: cannot read input: {exc}", file=sys.stderr)
         return 2
-    try:
-        result = {
-            "p": _fmt(args.p),
-            "lp": _fmt(lp_norm(f, args.p)),
-            "weak": _fmt(weak_norm(f, args.p)),
-            "seminorm": _fmt(equivalent_seminorm(f, args.p, args.r)),
-        }
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    result = {
+        "p": _fmt(args.p),
+        "lp": _fmt(lp_norm(f, args.p)),
+        "weak": _fmt(weak_norm(f, args.p)),
+        "seminorm": _fmt(equivalent_seminorm(f, args.p, args.r)),
+    }
     print(json.dumps(result))
     return 0
 
@@ -188,16 +176,22 @@ def cmd_opnorm(args) -> int:
     if args.symbol == "fractional":
         params = FractionalParams(args.k, args.lam, args.gamma)
         m = catalog.fractional_multiplier(params, args.terms)
+        support = fractional_kernel(params, args.terms).support()
     elif args.symbol == "identity":
         m = catalog.identity_multiplier(1)
+        support = [(0,)]
     elif args.symbol == "modulation":
         shift = tuple(int(c) for c in args.shift.split(","))
         m = catalog.modulation_multiplier(shift)
+        support = [shift]
     else:
         print(f"error: unknown symbol {args.symbol!r}", file=sys.stderr)
         return 2
     grid = TorusGrid(m.dim, args.grid_res)
     window = centered_window(args.window_radius, m.dim)
+    # the kernel is read on the dilated window that the certificate uses
+    if _aliased(support + window.dilate(3).points(), grid.resolution):
+        return 3
     weak = opnorm_l1_weakp(m, args.p, grid, window)
     strong = opnorm_l1_lp(m, args.p, grid, window)
     print(
@@ -215,31 +209,27 @@ def cmd_opnorm(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    try:
-        params = FractionalParams(args.k, args.lam, args.gamma)
-        verdict = classify_weak_and_strong(params, args.p)
-        wn = weak_norm_closed_form(params, args.p)
-        sn = strong_norm_closed_form(params, args.p)
-        result = {
-            "k": args.k,
-            "lambda": _fmt(args.lam),
-            "gamma": _fmt(args.gamma),
-            "p": _fmt(args.p),
-            "weak_1p": verdict.weak_1p,
-            "strong_1p": verdict.strong_1p,
-            "weak_norm": None if wn.divergent else _fmt(wn.value),
-            "weak_norm_divergent": wn.divergent,
-            "strong_norm": None if sn.divergent else _fmt(sn.value),
-            "strong_norm_divergent": sn.divergent,
-        }
-        if args.q is not None:
-            result["q"] = _fmt(args.q)
-            result["predicted_bounded"] = classify_conjecture1(
-                args.p, args.q, args.lam, args.k
-            )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    params = FractionalParams(args.k, args.lam, args.gamma)
+    verdict = classify_weak_and_strong(params, args.p)
+    wn = weak_norm_closed_form(params, args.p)
+    sn = strong_norm_closed_form(params, args.p)
+    result = {
+        "k": args.k,
+        "lambda": _fmt(args.lam),
+        "gamma": _fmt(args.gamma),
+        "p": _fmt(args.p),
+        "weak_1p": verdict.weak_1p,
+        "strong_1p": verdict.strong_1p,
+        "weak_norm": None if wn.divergent else _fmt(wn.value),
+        "weak_norm_divergent": wn.divergent,
+        "strong_norm": None if sn.divergent else _fmt(sn.value),
+        "strong_norm_divergent": sn.divergent,
+    }
+    if args.q is not None:
+        result["q"] = _fmt(args.q)
+        result["predicted_bounded"] = classify_conjecture1(
+            args.p, args.q, args.lam, args.k
+        )
     print(json.dumps(result))
     return 0
 
@@ -352,13 +342,8 @@ def cmd_kstar(args) -> int:
     terms_list = [int(x) for x in args.terms_list.split(",")]
     lines = ["k,lambda,M,l2k_norm"]
     for terms in terms_list:
-        res = 2 * terms**args.k
-        try:
-            grid = TorusGrid(1, res)
-            value = kstar_norm_probe(args.k, args.lam, terms, grid)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        grid = TorusGrid(1, 2 * terms**args.k)
+        value = kstar_norm_probe(args.k, args.lam, terms, grid)
         lines.append(f"{args.k},{_fmt(args.lam)},{terms},{_fmt(value)}")
     return _save(_write_text, "\n".join(lines) + "\n", args.out)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import LatticeSequence, Window, sequence
-from .torus import TorusGrid, TorusSamples, lq_torus_norm
+from .torus import TorusGrid, TorusSamples, dft, lq_torus_norm
 
 
 @dataclass(frozen=True)
@@ -206,8 +206,9 @@ def symbol_partial_sum(
     if grid.dim != 1:
         raise ValueError("fractional symbols live on the 1-dimensional torus")
     powers, coeff = _terms(params, terms)
-    phase = np.outer(grid.nodes()[:, 0], np.array(powers, dtype=np.float64))
-    vals = np.exp(-2j * np.pi * phase) @ coeff
+    # m^power mod M in exact integers keeps every phase exact on the grid.
+    folded = sequence(1, zip([n % grid.resolution for n in powers], coeff))
+    vals = dft(folded, grid).values
     if params.decay > 0.5:
         tail = math.sqrt(max(_zeta_tail(2.0 * params.decay, terms), 0.0))
     else:

@@ -23,9 +23,11 @@ from .lattice import (
     sequence,
 )
 from .norms import lp_norm, weak_norm
-from .torus import TorusGrid, TorusSamples, dft, inverse_dft, sample_function
+from .torus import TorusGrid, TorusSamples, dft, from_grid, inverse_dft, sample_function
 
 MATRIX_CAP = 4096
+# Largest (lattice points) x (grid nodes) array of pdo symbol samples, 64 MiB.
+MAX_SYMBOL_SAMPLES = 2**22
 
 
 @dataclass(frozen=True)
@@ -85,6 +87,17 @@ def apply_by_kernel(k: LatticeSequence, f: LatticeSequence) -> LatticeSequence:
     return convolve(k, f)
 
 
+def _symbol_rows(a: PdoSymbol, points: list, grid: TorusGrid) -> np.ndarray:
+    """(len(points), M^dim) samples a(n, xi_j), one row per lattice point n."""
+    size = len(points) * grid.node_count
+    if size > MAX_SYMBOL_SAMPLES:
+        raise ValueError(f"{size} symbol samples exceed the cap {MAX_SYMBOL_SAMPLES}")
+    nodes = grid.nodes()
+    return np.array(
+        [[a.eval(n, x) for x in nodes] for n in points], dtype=np.complex128
+    )
+
+
 def apply_pdo(
     a: PdoSymbol, f: LatticeSequence, grid: TorusGrid, out: Window
 ) -> LatticeSequence:
@@ -92,13 +105,10 @@ def apply_pdo(
     if a.dim != f.dim:
         raise ValueError("dimension mismatch")
     F = dft(f, grid)
-    nodes = grid.nodes()
-    entries = {}
-    for n in out.points():
-        sym = np.array([a.eval(n, x) for x in nodes], dtype=np.complex128)
-        phase = np.exp(2j * np.pi * (nodes @ np.array(n, dtype=np.float64)))
-        entries[n] = np.sum(phase * sym * F.values) / grid.node_count
-    return sequence(out.dim, entries)
+    pts = out.points()
+    rows = _symbol_rows(a, pts, grid) * F.values
+    vals = from_grid(rows, np.array(pts, dtype=np.int64)[:, None, :], grid)[:, 0]
+    return sequence(out.dim, zip(pts, vals))
 
 
 def pdo_matrix(
@@ -107,15 +117,9 @@ def pdo_matrix(
     """Dense finite section: entry (n, n'') = quadrature of e^{2pi i(n-n'').xi} a(n, xi)."""
     if window.cardinality > cap:
         raise ValueError(f"window cardinality {window.cardinality} exceeds cap {cap}")
-    pts = np.array(window.points(), dtype=np.float64)
-    nodes = grid.nodes()
-    phase_out = np.exp(2j * np.pi * (pts @ nodes.T))
-    sym = np.array(
-        [[a.eval(tuple(int(c) for c in n), x) for x in nodes] for n in pts],
-        dtype=np.complex128,
-    )
-    phase_in = np.exp(-2j * np.pi * (pts @ nodes.T))
-    entries = (phase_out * sym) @ phase_in.T / grid.node_count
+    pts = window.points()
+    idx = np.array(pts, dtype=np.int64)
+    entries = from_grid(_symbol_rows(a, pts, grid), idx[:, None] - idx[None], grid)
     return OperatorMatrix(window, entries)
 
 
@@ -190,20 +194,12 @@ def conjugation_residual(
     freqs = np.array(window.points(), dtype=np.float64)
     n_nodes = grid.node_count
     # a_per[j, k] = conj(a(-k, x_j))
-    a_per = np.array(
-        [
-            [a.eval(neg_index(tuple(int(c) for c in k)), x) for k in freqs]
-            for x in nodes
-        ],
-        dtype=np.complex128,
-    ).conj()
+    a_per = _symbol_rows(a, [neg_index(k) for k in window.points()], grid).T.conj()
     synth = np.exp(2j * np.pi * (nodes @ freqs.T))        # x-synthesis phases
     analy = np.exp(-2j * np.pi * (freqs @ nodes.T)) / n_nodes  # torus Fourier coeffs
     A_grid = (synth * a_per) @ analy
-
-    pts = np.array(window.points(), dtype=np.float64)
-    fwd = np.exp(-2j * np.pi * (nodes @ pts.T))            # lattice dft, window -> grid
-    inv = np.exp(2j * np.pi * (pts @ nodes.T)) / n_nodes   # quadrature inverse
+    fwd = np.exp(-2j * np.pi * (nodes @ freqs.T))          # lattice dft, window -> grid
+    inv = np.exp(2j * np.pi * (freqs @ nodes.T)) / n_nodes  # quadrature inverse
     conjugated = inv @ A_grid.conj().T @ fwd
     return float(np.max(np.abs(direct - conjugated)))
 

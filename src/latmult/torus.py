@@ -1,16 +1,15 @@
-"""Discrete Fourier transform to the torus and grid quadrature.
+"""Transforms between the lattice Z^n and uniform grids on the torus T^n.
 
-The forward transform evaluates F(xi) = sum_n e^{-2 pi i n.xi} f(n) exactly
-over the (finite) support.  Integrals over [0,1)^n are left-endpoint Riemann
-sums on a uniform grid of M points per axis; for trigonometric polynomials of
-degree < M per axis this quadrature is exact, which is the regime every
-identity here relies on.  No FFT: supports are sparse and correctness wins
-over speed at these sizes.
+The forward transform is F(xi_j) = sum_n e^{-2 pi i n.xi_j} f(n) on the nodes
+xi_j = j/M; the inverse is the left-endpoint quadrature (1/M^n) sum_j
+e^{2 pi i n.xi_j} F(xi_j).  As e^{2 pi i n.j/M} depends on n only mod M, each
+is one exact FFT over the M^n box: the forward transform folds the support
+into the box by integer indices mod M, the inverse reads the box at lattice
+points mod M.  No other module moves between the lattice and the grid.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,29 +70,48 @@ class TorusSamples:
         )
 
 
+def alias_free(points, resolution: int) -> bool:
+    """True when no two distinct points are congruent mod `resolution` on every axis."""
+    points = set(points)
+    return len({tuple(c % resolution for c in p) for p in points}) == len(points)
+
+
 def dft(f: LatticeSequence, grid: TorusGrid) -> TorusSamples:
-    """F(xi_j) = sum_n e^{-2 pi i n.xi_j} f(n), exact finite sum per node."""
+    """F(xi_j) = sum_n e^{-2 pi i n.xi_j} f(n), by one FFT of f folded mod M.
+
+    Colliding points add, as they do in the sum, so this is exact for any support.
+    """
     if f.dim != grid.dim:
         raise ValueError(f"dimension mismatch: {f.dim} vs {grid.dim}")
-    if len(f) == 0:
-        return TorusSamples(grid, np.zeros(grid.node_count, dtype=np.complex128))
     idx, val = f.arrays()
-    phase = np.exp(-2j * np.pi * (grid.nodes() @ idx.T))
-    return TorusSamples(grid, phase @ val)
+    box = np.zeros((grid.resolution,) * grid.dim, dtype=np.complex128)
+    np.add.at(box, tuple(np.mod(idx, grid.resolution).T), val)
+    return TorusSamples(grid, np.fft.fftn(box).ravel())
+
+
+def from_grid(rows: np.ndarray, points: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """(1/M^dim) sum_j e^{2 pi i n.xi_j} rows[r, j] at each integer point n of row r.
+
+    rows is (R, M^dim) in node order, points (R, P, dim) or broadcastable to
+    it; the result is (R, P), exact for any points.
+    """
+    R, M, dim = len(rows), grid.resolution, grid.dim
+    coeffs = np.fft.ifftn(rows.reshape((R,) + (M,) * dim), axes=range(1, dim + 1))
+    idx = np.moveaxis(np.mod(points, M), -1, 0)
+    return coeffs[(np.arange(R)[:, None], *idx)]
 
 
 def inverse_dft(F: TorusSamples, window: Window) -> LatticeSequence:
     """Quadrature inverse (1/M^n) sum_j e^{2 pi i n.xi_j} F(xi_j) on a window.
 
     Recovery is exact when F = dft(f) and no two points of support(f) union
-    the window are congruent mod M on every axis; aliasing is the caller's
-    contract, not an error.
+    the window are congruent mod M on every axis (see alias_free); aliasing
+    is the caller's contract, not an error.
     """
     if F.grid.dim != window.dim:
         raise ValueError("dimension mismatch")
     pts = np.array(window.points(), dtype=np.int64)
-    phase = np.exp(2j * np.pi * (pts @ F.grid.nodes().T))
-    vals = phase @ F.values / F.grid.node_count
+    vals = from_grid(F.values[None, :], pts[None], F.grid)[0]
     return sequence(window.dim, zip(map(tuple, pts.tolist()), vals))
 
 

@@ -93,6 +93,28 @@ def test_apply_aliasing_violation_exits_3(tmp_path):
     assert rc == 3
 
 
+def test_opnorm_readme_example_aliases_and_exits_3(capsys):
+    # support reaches 100^2 on a 256-point grid: the kernel folds onto itself
+    rc = main(["opnorm", "--symbol", "fractional", "--k", "2", "--lam", "0.5", "--p", "2"])
+    assert rc == 3
+    assert "aliasing" in capsys.readouterr().err
+
+
+def test_opnorm_alias_free_fractional_is_certified(capsys):
+    argv = ["opnorm", "--symbol", "fractional", "--k", "2", "--lam", "0.5", "--p", "2",
+            "--terms", "10", "--window-radius", "100", "--grid-res", "1024"]
+    assert main(argv) == 0
+    res = json.loads(capsys.readouterr().out)
+    assert res["certified"] is True
+    assert float(res["l1_to_weak_lp"]) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_spectrum_over_symbol_sample_cap_exits_2(capsys):
+    argv = ["spectrum", "--window-radius", "2000", "--grid-res", "4096"]
+    assert main(argv) == 2
+    assert "symbol samples" in capsys.readouterr().err
+
+
 def test_apply_missing_input_exits_2(tmp_path):
     rc = main(
         [

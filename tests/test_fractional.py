@@ -180,6 +180,17 @@ def test_symbol_partial_sum_matches_kernel_dft():
     assert np.max(np.abs(ps.samples.values - F.values)) < 1e-12
 
 
+def test_symbol_partial_sum_k3_phases_are_exact_mod_m():
+    # Oracle: every phase m^3 j / M reduced mod M in integers before the float.
+    params, terms, M = FractionalParams(3, 0.5), 400, 1024
+    ps = symbol_partial_sum(params, terms, TorusGrid(1, M))
+    m = np.arange(1, terms + 1)
+    residues = np.array([pow(int(k), 3, M) for k in m], dtype=np.int64)
+    phase = np.outer(np.arange(M), residues) % M
+    want = np.exp(-2j * np.pi * phase / M) @ m ** -0.5
+    assert np.max(np.abs(ps.samples.values - want)) <= 1e-12
+
+
 def test_symbol_partial_sum_tail_flag():
     grid = TorusGrid(1, 16)
     assert symbol_partial_sum(FractionalParams(1, 0.4), 3, grid).l2_tail is None

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -160,6 +162,28 @@ def test_pdo_matrix_cap():
             centered_window(3000),
             GRID,
         )
+
+
+def test_symbol_sample_cap_is_checked_before_sampling():
+    def never(n, xi):
+        raise AssertionError("symbol evaluated past the sample cap")
+
+    a = PdoSymbol(1, never)
+    grid = TorusGrid(1, 4096)
+    window = centered_window(2000)  # 4001 x 4096 samples, below MATRIX_CAP rows
+    tracemalloc.start()
+    try:
+        for call in (
+            lambda: pdo_matrix(a, window, grid),
+            lambda: apply_pdo(a, delta(0), grid, window),
+            lambda: conjugation_residual(a, grid, window),
+        ):
+            with pytest.raises(ValueError, match="symbol samples"):
+                call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_opnorm_weakp_identity():

@@ -6,6 +6,7 @@ from latmult.lattice import box, centered_window, delta, sequence, translate
 from latmult.norms import lp_norm
 from latmult.torus import (
     TorusGrid,
+    alias_free,
     TorusSamples,
     dft,
     inverse_dft,
@@ -77,6 +78,15 @@ def test_inverse_dft_aliasing_contract():
     grid = TorusGrid(1, M)
     out = inverse_dft(dft(delta(M), grid), centered_window(2))
     assert abs(out[(0,)] - 1.0) < 1e-13
+
+
+def test_alias_free_needs_congruence_on_every_axis():
+    assert alias_free([(0,), (63,)], 64)
+    assert not alias_free([(0,), (64,)], 64)
+    assert not alias_free([(-1,), (63,)], 64)
+    assert alias_free([(3,), (3,), (4,)], 64)  # a repeated point is one point
+    assert alias_free([(0, 0), (64, 1)], 64)
+    assert not alias_free([(0, 0), (64, -64)], 64)
 
 
 def test_lq_norm_constant_and_unimodular():
