@@ -1,23 +1,20 @@
-"""Built-in symbols used by the CLI and the verification suite."""
+"""Built-in symbols used by the CLI and the verification suite.
+
+Every multiplier here is the dft of a finite kernel and carries that kernel,
+so its grid samples are one FFT of the kernel folded mod M in integers:
+exact phases on the grid, however far the support reaches.  Every pdo symbol
+here is written once, as an array formula rows(n, xi) over (K, dim) lattice
+points and (N, dim) torus points; its scalar eval is that formula at a
+single (n, xi).
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .fractional import FractionalParams, _terms
-from .lattice import LatticeSequence, as_index
+from .fractional import FractionalParams, fractional_kernel
+from .lattice import LatticeSequence, delta
 from .operators import MultiplierSymbol, PdoSymbol
-from .torus import TorusGrid, dft
-
-
-def identity_multiplier(dim: int = 1) -> MultiplierSymbol:
-    return MultiplierSymbol(dim, lambda xi: 1.0 + 0j)
-
-
-def modulation_multiplier(shift) -> MultiplierSymbol:
-    """Symbol e^{-2 pi i xi.a}; the operator is translation by a."""
-    a = np.array(as_index(shift), dtype=np.float64)
-    return MultiplierSymbol(len(a), lambda xi: np.exp(-2j * np.pi * float(xi @ a)))
 
 
 def kernel_multiplier(k: LatticeSequence) -> MultiplierSymbol:
@@ -27,52 +24,69 @@ def kernel_multiplier(k: LatticeSequence) -> MultiplierSymbol:
     def ev(xi):
         return complex(np.exp(-2j * np.pi * (idx @ xi)) @ val)
 
-    return MultiplierSymbol(k.dim, ev)
+    return MultiplierSymbol(k.dim, ev, k)
+
+
+def identity_multiplier(dim: int = 1) -> MultiplierSymbol:
+    return kernel_multiplier(delta((0,) * dim))
+
+
+def modulation_multiplier(shift) -> MultiplierSymbol:
+    """Symbol e^{-2 pi i xi.a}; the operator is translation by a."""
+    return kernel_multiplier(delta(shift))
 
 
 def fractional_multiplier(params: FractionalParams, terms: int) -> MultiplierSymbol:
     """Truncated fractional symbol sum_{m<=terms} e^{-2 pi i m^k xi} m^{-lam-i gam}."""
-    powers, coeff = _terms(params, terms)
-    powers = np.array(powers, dtype=np.float64)
+    return kernel_multiplier(fractional_kernel(params, terms))
 
-    def ev(xi):
-        return complex(np.exp(-2j * np.pi * xi[0] * powers) @ coeff)
 
-    return MultiplierSymbol(1, ev)
+def _array_pdo(dim: int, rows) -> PdoSymbol:
+    """The pdo symbol with array formula `rows`; eval is rows at one (n, xi)."""
+
+    def ev(n, xi):
+        one = rows(np.array([n], dtype=np.int64), np.reshape(xi, (1, dim)))
+        return complex(np.asarray(one).flat[0])
+
+    return PdoSymbol(dim, ev, rows)
 
 
 def inverse_distance_pdo(dim: int = 1) -> PdoSymbol:
     """m(n', xi) = (1 + |n'|_inf)^{-1}: the standard Gohberg-decaying example."""
-    return PdoSymbol(dim, lambda n, xi: 1.0 / (1.0 + max(abs(c) for c in n)))
+    return _array_pdo(
+        dim, lambda n, xi: 1.0 / (1.0 + np.abs(n).max(axis=1, keepdims=True))
+    )
 
 
 def constant_one_pdo(dim: int = 1) -> PdoSymbol:
-    return PdoSymbol(dim, lambda n, xi: 1.0 + 0j)
+    return _array_pdo(dim, lambda n, xi: np.ones((len(n), len(xi))))
 
 
 def oscillating_decay_pdo() -> PdoSymbol:
     """e^{2 pi i 0.3 sin(2 pi xi)} / (1 + |n'|): analytic in xi, decaying in n'."""
 
-    def ev(n, xi):
-        return np.exp(2j * np.pi * 0.3 * np.sin(2 * np.pi * xi[0])) / (
-            1.0 + abs(n[0])
+    def rows(n, xi):
+        return np.exp(2j * np.pi * 0.3 * np.sin(2 * np.pi * xi[:, 0])) / (
+            1.0 + np.abs(n)
         )
 
-    return PdoSymbol(1, ev)
+    return _array_pdo(1, rows)
 
 
 def smooth_decay_pdo() -> PdoSymbol:
     """(0.5 + 0.5 cos(2 pi xi)) / (1 + n'^2): trig-polynomial in xi."""
 
-    def ev(n, xi):
-        return (0.5 + 0.5 * np.cos(2 * np.pi * xi[0])) / (1.0 + n[0] ** 2)
+    def rows(n, xi):
+        return (0.5 + 0.5 * np.cos(2 * np.pi * xi[:, 0])) / (
+            1.0 + n.astype(np.float64) ** 2
+        )
 
-    return PdoSymbol(1, ev)
+    return _array_pdo(1, rows)
 
 
 def coordinate_pdo() -> PdoSymbol:
     """m(n', xi) = n'_1: the canonical unbounded-constant failure case."""
-    return PdoSymbol(1, lambda n, xi: complex(n[0]))
+    return _array_pdo(1, lambda n, xi: n.astype(np.float64))
 
 
 PDO_BUILTINS = {

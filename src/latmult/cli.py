@@ -31,6 +31,7 @@ from .fractional import (
 )
 from .lattice import (
     Window,
+    add_index,
     box,
     centered_window,
     load_jsonl,
@@ -38,10 +39,10 @@ from .lattice import (
 )
 from .norms import equivalent_seminorm, lp_norm, weak_norm
 from .operators import (
-    apply_multiplier,
     opnorm_l1_lp,
     opnorm_l1_weakp,
     pdo_matrix,
+    sample_multiplier,
 )
 from .symbols import gohberg_decay, singular_tail
 from .torus import TorusGrid, TorusSamples, alias_free, dft, inverse_dft, load_csv
@@ -112,14 +113,7 @@ def cmd_apply(args) -> int:
         out = apply_fractional(params, f, window)
     else:
         grid = TorusGrid(f.dim, args.grid_res)
-        if _aliased(f.support() + window.points(), grid.resolution):
-            return 3
-        if args.symbol == "identity":
-            m = catalog.identity_multiplier(f.dim)
-        elif args.symbol == "modulation":
-            shift = tuple(int(c) for c in args.shift.split(","))
-            m = catalog.modulation_multiplier(shift)
-        elif args.symbol == "grid-file":
+        if args.symbol == "grid-file":
             if args.symbol_file is None:
                 print("error: --symbol grid-file needs --symbol-file", file=sys.stderr)
                 return 2
@@ -131,16 +125,20 @@ def cmd_apply(args) -> int:
             if samples.grid != grid:
                 print("error: symbol grid does not match the input", file=sys.stderr)
                 return 2
-            F = dft(f, grid)
-            out = inverse_dft(
-                TorusSamples(grid, samples.values * F.values), window
-            )
-            m = None
+            reach = []
         else:
-            print(f"error: unknown symbol {args.symbol!r}", file=sys.stderr)
-            return 2
-        if m is not None:
-            out = apply_multiplier(m, f, grid, window)
+            if args.symbol == "identity":
+                m = catalog.identity_multiplier(f.dim)
+            else:
+                shift = tuple(int(c) for c in args.shift.split(","))
+                m = catalog.modulation_multiplier(shift)
+            samples = sample_multiplier(m, grid)
+            # t_m f lives on supp f + supp kernel, which must not alias the window
+            reach = [add_index(a, b) for a in f.support() for b in m.kernel.support()]
+        if _aliased(f.support() + window.points() + reach, grid.resolution):
+            return 3
+        F = dft(f, grid)
+        out = inverse_dft(TorusSamples(grid, samples.values * F.values), window)
     rc = _save(save_jsonl, out, args.out)
     if rc == 0:
         print(json.dumps({"output": args.out, "norms": _norm_summary(out)}))
@@ -176,21 +174,15 @@ def cmd_opnorm(args) -> int:
     if args.symbol == "fractional":
         params = FractionalParams(args.k, args.lam, args.gamma)
         m = catalog.fractional_multiplier(params, args.terms)
-        support = fractional_kernel(params, args.terms).support()
     elif args.symbol == "identity":
         m = catalog.identity_multiplier(1)
-        support = [(0,)]
-    elif args.symbol == "modulation":
+    else:
         shift = tuple(int(c) for c in args.shift.split(","))
         m = catalog.modulation_multiplier(shift)
-        support = [shift]
-    else:
-        print(f"error: unknown symbol {args.symbol!r}", file=sys.stderr)
-        return 2
     grid = TorusGrid(m.dim, args.grid_res)
     window = centered_window(args.window_radius, m.dim)
     # the kernel is read on the dilated window that the certificate uses
-    if _aliased(support + window.dilate(3).points(), grid.resolution):
+    if _aliased(m.kernel.support() + window.dilate(3).points(), grid.resolution):
         return 3
     weak = opnorm_l1_weakp(m, args.p, grid, window)
     strong = opnorm_l1_lp(m, args.p, grid, window)

@@ -37,6 +37,17 @@ def neg_index(a: MultiIndex) -> MultiIndex:
     return tuple(-x for x in a)
 
 
+def index_array(points, dim: int) -> np.ndarray:
+    """(len(points), dim) int64 array of lattice points.
+
+    Raises ValueError when a coordinate does not fit in int64.
+    """
+    try:
+        return np.array(points, dtype=np.int64).reshape(len(points), dim)
+    except OverflowError:
+        raise ValueError("lattice index does not fit in int64") from None
+
+
 @dataclass(frozen=True, eq=False)
 class LatticeSequence:
     """Finitely supported complex function on Z^dim."""
@@ -74,12 +85,8 @@ class LatticeSequence:
         Raises ValueError when an index does not fit in int64.
         """
         sup = self.support()
-        try:
-            idx = np.array(sup, dtype=np.int64).reshape(len(sup), self.dim)
-        except OverflowError:
-            raise ValueError("lattice index does not fit in int64") from None
         val = np.array([self.entries[i] for i in sup], dtype=np.complex128)
-        return idx, val
+        return index_array(sup, self.dim), val
 
     def __eq__(self, other) -> bool:
         return (
@@ -166,6 +173,10 @@ class Window:
     def points(self) -> list[MultiIndex]:
         ranges = [range(l, h + 1) for l, h in zip(self.lo, self.hi)]
         return list(itertools.product(*ranges))
+
+    def indices(self) -> np.ndarray:
+        """points() as a (cardinality, dim) int64 array; ValueError beyond int64."""
+        return index_array(self.points(), self.dim)
 
     def __contains__(self, point) -> bool:
         idx = as_index(point)

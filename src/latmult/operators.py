@@ -6,6 +6,12 @@ convolution).  Finite sections are dense matrices on a window; the l^1 ->
 l^{p,inf} and l^1 -> l^p operator norms come for free from the kernel, since
 both equal the corresponding norm of k = F^{-1} m and are attained by delta
 inputs.
+
+Symbols are sampled in one place each.  sample_multiplier takes a multiplier
+with a finite `kernel` as dft(kernel), one FFT that is exact on the grid, and
+any other multiplier node by node through its scalar `eval`.  _symbol_rows
+samples a pdo symbol on (lattice points) x (grid nodes) through its array
+form `rows` when it has one, and through the scalar `eval` otherwise.
 """
 
 from __future__ import annotations
@@ -15,13 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .lattice import (
-    LatticeSequence,
-    Window,
-    convolve,
-    neg_index,
-    sequence,
-)
+from .lattice import LatticeSequence, Window, convolve, sequence
 from .norms import lp_norm, weak_norm
 from .torus import TorusGrid, TorusSamples, dft, from_grid, inverse_dft, sample_function
 
@@ -32,22 +32,38 @@ MAX_SYMBOL_SAMPLES = 2**22
 
 @dataclass(frozen=True)
 class MultiplierSymbol:
-    """Bounded evaluator xi in [0,1)^dim -> complex."""
+    """Bounded evaluator xi in [0,1)^dim -> complex.
+
+    `kernel`, when given, is the finite sequence whose dft the symbol is;
+    grid samples are then dft(kernel) instead of one eval call per node.
+    """
 
     dim: int
     eval: Callable[[np.ndarray], complex]
+    kernel: LatticeSequence | None = None
 
 
 @dataclass(frozen=True)
 class PdoSymbol:
-    """Evaluator (n', xi) -> complex for a pseudo-differential operator."""
+    """Evaluator (n', xi) -> complex for a pseudo-differential operator.
+
+    `rows`, when given, is the same symbol on arrays: rows(n, xi) with n a
+    (K, dim) int64 array of lattice points and xi an (N, dim) array of torus
+    points returns a complex array broadcastable to (K, N).
+    """
 
     dim: int
     eval: Callable[[tuple, np.ndarray], complex]
+    rows: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
 
 def multiplier_as_pdo(m: MultiplierSymbol) -> PdoSymbol:
-    return PdoSymbol(m.dim, lambda n, xi: m.eval(xi))
+    """a(n', xi) = m(xi); its rows sample m once per node for all points."""
+
+    def rows(n, xi):
+        return np.array([m.eval(x) for x in xi], dtype=np.complex128)[None, :]
+
+    return PdoSymbol(m.dim, lambda n, xi: m.eval(xi), rows)
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,6 +84,8 @@ class OperatorMatrix:
 def sample_multiplier(m: MultiplierSymbol, grid: TorusGrid) -> TorusSamples:
     if m.dim != grid.dim:
         raise ValueError("dimension mismatch")
+    if m.kernel is not None:
+        return dft(m.kernel, grid)
     return sample_function(grid, m.eval)
 
 
@@ -87,15 +105,26 @@ def apply_by_kernel(k: LatticeSequence, f: LatticeSequence) -> LatticeSequence:
     return convolve(k, f)
 
 
-def _symbol_rows(a: PdoSymbol, points: list, grid: TorusGrid) -> np.ndarray:
-    """(len(points), M^dim) samples a(n, xi_j), one row per lattice point n."""
-    size = len(points) * grid.node_count
+def _check_samples(size: int) -> None:
     if size > MAX_SYMBOL_SAMPLES:
         raise ValueError(f"{size} symbol samples exceed the cap {MAX_SYMBOL_SAMPLES}")
-    nodes = grid.nodes()
+
+
+def _symbol_rows(a: PdoSymbol, points: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """(K, N) samples a(n, xi) at K int64 lattice points n and N torus points xi.
+
+    The only place a pdo symbol is sampled: through a.rows when the symbol
+    has it, one scalar a.eval call per entry otherwise.
+    """
+    shape = (len(points), len(nodes))
+    _check_samples(shape[0] * shape[1])
+    if a.rows is not None:
+        rows = np.asarray(a.rows(points, nodes), dtype=np.complex128)
+        return np.broadcast_to(rows, shape)
     return np.array(
-        [[a.eval(n, x) for x in nodes] for n in points], dtype=np.complex128
-    )
+        [[a.eval(n, x) for x in nodes] for n in map(tuple, points.tolist())],
+        dtype=np.complex128,
+    ).reshape(shape)
 
 
 def apply_pdo(
@@ -105,22 +134,25 @@ def apply_pdo(
     if a.dim != f.dim:
         raise ValueError("dimension mismatch")
     F = dft(f, grid)
-    pts = out.points()
-    rows = _symbol_rows(a, pts, grid) * F.values
-    vals = from_grid(rows, np.array(pts, dtype=np.int64)[:, None, :], grid)[:, 0]
-    return sequence(out.dim, zip(pts, vals))
+    pts = out.indices()
+    rows = _symbol_rows(a, pts, grid.nodes()) * F.values
+    vals = from_grid(rows, pts[:, None, :], grid)[:, 0]
+    return sequence(out.dim, zip(map(tuple, pts.tolist()), vals))
+
+
+def _section_points(window: Window, cap: int) -> np.ndarray:
+    if window.cardinality > cap:
+        raise ValueError(f"window cardinality {window.cardinality} exceeds cap {cap}")
+    return window.indices()
 
 
 def pdo_matrix(
     a: PdoSymbol, window: Window, grid: TorusGrid, cap: int = MATRIX_CAP
 ) -> OperatorMatrix:
     """Dense finite section: entry (n, n'') = quadrature of e^{2pi i(n-n'').xi} a(n, xi)."""
-    if window.cardinality > cap:
-        raise ValueError(f"window cardinality {window.cardinality} exceeds cap {cap}")
-    pts = window.points()
-    idx = np.array(pts, dtype=np.int64)
-    entries = from_grid(_symbol_rows(a, pts, grid), idx[:, None] - idx[None], grid)
-    return OperatorMatrix(window, entries)
+    idx = _section_points(window, cap)
+    rows = _symbol_rows(a, idx, grid.nodes())
+    return OperatorMatrix(window, from_grid(rows, idx[:, None] - idx[None], grid))
 
 
 def apply_matrix(A: OperatorMatrix, f: LatticeSequence) -> LatticeSequence:
@@ -188,13 +220,19 @@ def conjugation_residual(
     """
     if a.dim != grid.dim or a.dim != window.dim:
         raise ValueError("dimension mismatch")
-    direct = pdo_matrix(a, window, grid).entries
-
+    pts = _section_points(window, MATRIX_CAP)
+    K, n_nodes = len(pts), grid.node_count
+    union, where = np.unique(np.concatenate([pts, -pts]), axis=0, return_inverse=True)
+    where = where.reshape(-1)
+    # One cap for the union x nodes samples and the nodes x nodes A_grid below.
+    _check_samples(max(len(union), n_nodes) * n_nodes)
     nodes = grid.nodes()
-    freqs = np.array(window.points(), dtype=np.float64)
-    n_nodes = grid.node_count
+    rows = _symbol_rows(a, union, nodes)
+    direct = from_grid(rows[where[:K]], pts[:, None] - pts[None], grid)
+
+    freqs = pts.astype(np.float64)
     # a_per[j, k] = conj(a(-k, x_j))
-    a_per = _symbol_rows(a, [neg_index(k) for k in window.points()], grid).T.conj()
+    a_per = rows[where[K:]].T.conj()
     synth = np.exp(2j * np.pi * (nodes @ freqs.T))        # x-synthesis phases
     analy = np.exp(-2j * np.pi * (freqs @ nodes.T)) / n_nodes  # torus Fourier coeffs
     A_grid = (synth * a_per) @ analy

@@ -18,16 +18,22 @@ from typing import Callable
 import numpy as np
 
 from .lattice import MultiIndex, Window, as_index, add_index, neg_index
-from .operators import OperatorMatrix, PdoSymbol
+from .operators import OperatorMatrix, PdoSymbol, _symbol_rows
 from .torus import TorusGrid, TorusSamples
 
 
 @dataclass(frozen=True)
 class ToroidalSymbol:
-    """Evaluator (x in [0,1)^dim, xi in Z^dim) -> complex."""
+    """Evaluator (x in [0,1)^dim, xi in Z^dim) -> complex.
+
+    `rows`, when given, is the same symbol on arrays: rows(xi, x) with xi a
+    (K, dim) int64 array of lattice points and x an (N, dim) array of torus
+    points returns a complex array broadcastable to (K, N).
+    """
 
     dim: int
     eval: Callable[[np.ndarray, MultiIndex], complex]
+    rows: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
 
 def difference(sigma: Callable[[MultiIndex], complex], alpha, xi) -> complex:
@@ -195,10 +201,13 @@ def class_check(
     extended = Window(
         dim, probe_window.lo, tuple(h + n1 for h in probe_window.hi)
     )
-    cache = {
-        xi: np.array([a.eval(x, xi) for x in nodes], dtype=np.complex128)
-        for xi in extended.points()
-    }
+    keys = extended.points()
+    if a.rows is not None:
+        rows = a.rows(extended.indices(), nodes)
+        samples = np.broadcast_to(rows, (len(keys), len(nodes)))
+    else:
+        samples = [[a.eval(x, xi) for x in nodes] for xi in keys]
+    cache = dict(zip(keys, np.asarray(samples, dtype=np.complex128)))
 
     probe_points = probe_window.points()
     radius = max(max(abs(c) for c in xi) for xi in probe_points)
@@ -280,7 +289,9 @@ def cv_check(
     weight on the (unbounded) lattice variable.
     """
     tilde = ToroidalSymbol(
-        m_sym.dim, lambda x, xi: np.conj(m_sym.eval(neg_index(xi), x))
+        m_sym.dim,
+        lambda x, xi: np.conj(m_sym.eval(neg_index(xi), x)),
+        lambda xi, x: np.conj(_symbol_rows(m_sym, -xi, x)),
     )
     return class_check(
         tilde,
@@ -305,11 +316,22 @@ class GohbergReport:
     tolerance: float
 
 
-def _shell_points(dim: int, radius: int) -> list[MultiIndex]:
+def _shell_points(dim: int, radius: int) -> np.ndarray:
+    """(K, dim) int64 array of the points with |n|_inf = radius, face by face.
+
+    Face `axis` holds the points with |n_axis| = radius and |n_j| < radius
+    for j < axis, so every shell point lies on exactly one face.
+    """
     if radius == 0:
-        return [(0,) * dim]
-    pts = itertools.product(range(-radius, radius + 1), repeat=dim)
-    return [p for p in pts if max(abs(c) for c in p) == radius]
+        return np.zeros((1, dim), dtype=np.int64)
+    inner = np.arange(-radius + 1, radius)
+    full = np.arange(-radius, radius + 1)
+    faces = []
+    for axis in range(dim):
+        axes = [inner] * axis + [np.array([-radius, radius])] + [full] * (dim - 1 - axis)
+        mesh = np.meshgrid(*axes, indexing="ij")
+        faces.append(np.stack([m.ravel() for m in mesh], axis=-1))
+    return np.concatenate(faces)
 
 
 def gohberg_decay(
@@ -323,17 +345,16 @@ def gohberg_decay(
     Verdict "consistent" (with compactness) when the second half of d is
     nonincreasing and ends below the tolerance; otherwise "not-compact".
     """
-    if list(radii) != sorted(radii):
+    radii = list(radii)
+    if radii != sorted(radii):
         raise ValueError("radii must be increasing")
+    if radii and radii[0] < 0:
+        raise ValueError(f"radii must be >= 0, got {radii[0]}")
     nodes = grid.nodes()
-    values = []
-    for r in radii:
-        best = 0.0
-        for point in _shell_points(grid.dim, r):
-            best = max(
-                best, max(abs(m_sym.eval(point, x)) for x in nodes)
-            )
-        values.append(float(best))
+    values = [
+        float(np.max(np.abs(_symbol_rows(m_sym, _shell_points(grid.dim, r), nodes))))
+        for r in radii
+    ]
     half = len(values) // 2
     tail = values[half:]
     nonincreasing = all(
@@ -341,7 +362,7 @@ def gohberg_decay(
     )
     consistent = nonincreasing and (not tail or tail[-1] <= tolerance)
     return GohbergReport(
-        radii=list(radii),
+        radii=radii,
         values=values,
         verdict="consistent" if consistent else "not-compact",
         tolerance=tolerance,

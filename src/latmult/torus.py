@@ -110,7 +110,7 @@ def inverse_dft(F: TorusSamples, window: Window) -> LatticeSequence:
     """
     if F.grid.dim != window.dim:
         raise ValueError("dimension mismatch")
-    pts = np.array(window.points(), dtype=np.int64)
+    pts = window.indices()
     vals = from_grid(F.values[None, :], pts[None], F.grid)[0]
     return sequence(window.dim, zip(map(tuple, pts.tolist()), vals))
 

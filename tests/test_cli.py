@@ -93,6 +93,25 @@ def test_apply_aliasing_violation_exits_3(tmp_path):
     assert rc == 3
 
 
+def test_apply_modulation_output_aliasing_window_exits_3(tmp_path, capsys):
+    # delta at 0 shifted by 64 lands outside the window but is congruent to 0
+    path = str(tmp_path / "d.jsonl")
+    save_jsonl(sequence(1, {(0,): 1.0}), path)
+    argv = ["apply", "--input", path, "--out", str(tmp_path / "o.jsonl"),
+            "--symbol", "modulation", "--shift", "64", "--window=-8:8"]
+    assert main(argv) == 3
+    assert "aliasing" in capsys.readouterr().err
+
+
+def test_apply_window_beyond_int64_exits_2(tmp_path, capsys):
+    path = str(tmp_path / "d.jsonl")
+    save_jsonl(sequence(1, {(0,): 1.0}), path)
+    argv = ["apply", "--input", path, "--out", str(tmp_path / "o.jsonl"),
+            "--window=9223372036854775809:9223372036854775810"]
+    assert main(argv) == 2
+    assert "int64" in capsys.readouterr().err
+
+
 def test_opnorm_readme_example_aliases_and_exits_3(capsys):
     # support reaches 100^2 on a 256-point grid: the kernel folds onto itself
     rc = main(["opnorm", "--symbol", "fractional", "--k", "2", "--lam", "0.5", "--p", "2"])

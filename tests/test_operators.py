@@ -186,6 +186,23 @@ def test_symbol_sample_cap_is_checked_before_sampling():
     assert peak < 8 * 2**20
 
 
+def test_conjugation_grid_operator_cap_is_checked_before_sampling():
+    # one window point, but the nodes x nodes grid operator would be 256 MiB
+    def never(n, xi):
+        raise AssertionError("symbol evaluated past the sample cap")
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="symbol samples"):
+            conjugation_residual(
+                PdoSymbol(1, never), TorusGrid(1, 4096), centered_window(0)
+            )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
 def test_opnorm_weakp_identity():
     for p in (1.5, 2.0, 3.0):
         est = opnorm_l1_weakp(identity_multiplier(1), p, GRID, centered_window(4))
@@ -295,6 +312,15 @@ def test_conjugation_residual_x_dependent_symbol():
     a = PdoSymbol(
         1,
         lambda n, xi: np.exp(2j * np.pi * xi[0]) * (1.0 + 0.5 / (1.0 + n[0] ** 2)),
+    )
+    assert conjugation_residual(a, GRID, WINDOW) < 1e-10
+
+
+def test_conjugation_residual_symbol_odd_in_n():
+    # a(n, xi) != a(-n, xi): the samples at n and at -n must not be swapped
+    a = PdoSymbol(
+        1,
+        lambda n, xi: np.exp(2j * np.pi * (0.3 * n[0] + xi[0])) / (2.0 + np.sin(n[0])),
     )
     assert conjugation_residual(a, GRID, WINDOW) < 1e-10
 
