@@ -3,9 +3,9 @@
 Every multiplier here is the dft of a finite kernel and carries that kernel,
 so its grid samples are one FFT of the kernel folded mod M in integers:
 exact phases on the grid, however far the support reaches.  Every pdo symbol
-here is written once, as an array formula rows(n, xi) over (K, dim) lattice
-points and (N, dim) torus points; its scalar eval is that formula at a
-single (n, xi).
+here is written once, as an array formula f(n, xi) over (K, dim) lattice
+points and (N, dim) torus points; its rows(n, grid) is f at the grid nodes
+and its scalar eval is f at a single (n, xi).
 """
 
 from __future__ import annotations
@@ -41,14 +41,14 @@ def fractional_multiplier(params: FractionalParams, terms: int) -> MultiplierSym
     return kernel_multiplier(fractional_kernel(params, terms))
 
 
-def _array_pdo(dim: int, rows) -> PdoSymbol:
-    """The pdo symbol with array formula `rows`; eval is rows at one (n, xi)."""
+def _array_pdo(dim: int, formula) -> PdoSymbol:
+    """The pdo symbol with array formula `formula`; rows and eval both derive from it."""
 
     def ev(n, xi):
-        one = rows(np.array([n], dtype=np.int64), np.reshape(xi, (1, dim)))
+        one = formula(np.array([n], dtype=np.int64), np.reshape(xi, (1, dim)))
         return complex(np.asarray(one).flat[0])
 
-    return PdoSymbol(dim, ev, rows)
+    return PdoSymbol(dim, ev, lambda n, grid: formula(n, grid.nodes()))
 
 
 def inverse_distance_pdo(dim: int = 1) -> PdoSymbol:

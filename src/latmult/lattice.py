@@ -29,14 +29,6 @@ def add_index(a: MultiIndex, b: MultiIndex) -> MultiIndex:
     return tuple(x + y for x, y in zip(a, b))
 
 
-def sub_index(a: MultiIndex, b: MultiIndex) -> MultiIndex:
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def neg_index(a: MultiIndex) -> MultiIndex:
-    return tuple(-x for x in a)
-
-
 def index_array(points, dim: int) -> np.ndarray:
     """(len(points), dim) int64 array of lattice points.
 

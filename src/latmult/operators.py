@@ -7,11 +7,12 @@ l^{p,inf} and l^1 -> l^p operator norms come for free from the kernel, since
 both equal the corresponding norm of k = F^{-1} m and are attained by delta
 inputs.
 
-Symbols are sampled in one place each.  sample_multiplier takes a multiplier
-with a finite `kernel` as dft(kernel), one FFT that is exact on the grid, and
-any other multiplier node by node through its scalar `eval`.  _symbol_rows
-samples a pdo symbol on (lattice points) x (grid nodes) through its array
-form `rows` when it has one, and through the scalar `eval` otherwise.
+Symbols are sampled in one place each, always at the nodes of a grid.
+sample_multiplier takes a multiplier with a finite `kernel` as dft(kernel),
+one FFT that is exact on the grid, and any other multiplier node by node
+through its scalar `eval`.  _symbol_rows samples a pdo symbol (or a toroidal
+one, through a pdo adapter) on (lattice points) x (grid nodes) through its
+`rows(n, grid)` when it has one, and through the scalar `eval` otherwise.
 """
 
 from __future__ import annotations
@@ -47,23 +48,23 @@ class MultiplierSymbol:
 class PdoSymbol:
     """Evaluator (n', xi) -> complex for a pseudo-differential operator.
 
-    `rows`, when given, is the same symbol on arrays: rows(n, xi) with n a
-    (K, dim) int64 array of lattice points and xi an (N, dim) array of torus
-    points returns a complex array broadcastable to (K, N).
+    `rows`, when given, is the same symbol sampled on a grid: rows(n, grid)
+    with n a (K, dim) int64 array of lattice points returns a complex array
+    broadcastable to (K, grid.node_count), columns in the grid's node order.
     """
 
     dim: int
     eval: Callable[[tuple, np.ndarray], complex]
-    rows: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    rows: Callable[[np.ndarray, TorusGrid], np.ndarray] | None = None
 
 
 def multiplier_as_pdo(m: MultiplierSymbol) -> PdoSymbol:
-    """a(n', xi) = m(xi); its rows sample m once per node for all points."""
-
-    def rows(n, xi):
-        return np.array([m.eval(x) for x in xi], dtype=np.complex128)[None, :]
-
-    return PdoSymbol(m.dim, lambda n, xi: m.eval(xi), rows)
+    """a(n', xi) = m(xi); its rows are the one sample_multiplier row for all points."""
+    return PdoSymbol(
+        m.dim,
+        lambda n, xi: m.eval(xi),
+        lambda n, grid: sample_multiplier(m, grid).values[None, :],
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,17 +111,18 @@ def _check_samples(size: int) -> None:
         raise ValueError(f"{size} symbol samples exceed the cap {MAX_SYMBOL_SAMPLES}")
 
 
-def _symbol_rows(a: PdoSymbol, points: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """(K, N) samples a(n, xi) at K int64 lattice points n and N torus points xi.
+def _symbol_rows(a: PdoSymbol, points: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """(K, M^dim) samples a(n, xi) at K int64 lattice points n and the grid nodes xi.
 
     The only place a pdo symbol is sampled: through a.rows when the symbol
     has it, one scalar a.eval call per entry otherwise.
     """
-    shape = (len(points), len(nodes))
+    shape = (len(points), grid.node_count)
     _check_samples(shape[0] * shape[1])
     if a.rows is not None:
-        rows = np.asarray(a.rows(points, nodes), dtype=np.complex128)
+        rows = np.asarray(a.rows(points, grid), dtype=np.complex128)
         return np.broadcast_to(rows, shape)
+    nodes = grid.nodes()
     return np.array(
         [[a.eval(n, x) for x in nodes] for n in map(tuple, points.tolist())],
         dtype=np.complex128,
@@ -133,9 +135,10 @@ def apply_pdo(
     """t_a f(n) = (1/M^n) sum_j e^{2 pi i n.xi_j} a(n, xi_j) (dft f)(xi_j)."""
     if a.dim != f.dim:
         raise ValueError("dimension mismatch")
+    _check_samples(out.cardinality * grid.node_count)
     F = dft(f, grid)
     pts = out.indices()
-    rows = _symbol_rows(a, pts, grid.nodes()) * F.values
+    rows = _symbol_rows(a, pts, grid) * F.values
     vals = from_grid(rows, pts[:, None, :], grid)[:, 0]
     return sequence(out.dim, zip(map(tuple, pts.tolist()), vals))
 
@@ -151,7 +154,7 @@ def pdo_matrix(
 ) -> OperatorMatrix:
     """Dense finite section: entry (n, n'') = quadrature of e^{2pi i(n-n'').xi} a(n, xi)."""
     idx = _section_points(window, cap)
-    rows = _symbol_rows(a, idx, grid.nodes())
+    rows = _symbol_rows(a, idx, grid)
     return OperatorMatrix(window, from_grid(rows, idx[:, None] - idx[None], grid))
 
 
@@ -227,7 +230,7 @@ def conjugation_residual(
     # One cap for the union x nodes samples and the nodes x nodes A_grid below.
     _check_samples(max(len(union), n_nodes) * n_nodes)
     nodes = grid.nodes()
-    rows = _symbol_rows(a, union, nodes)
+    rows = _symbol_rows(a, union, grid)
     direct = from_grid(rows[where[:K]], pts[:, None] - pts[None], grid)
 
     freqs = pts.astype(np.float64)

@@ -5,6 +5,11 @@ and spectral derivatives on the torus variable; weighted suprema over a
 finite probe domain produce observed class constants.  Everything here is a
 finite-domain certificate, never a proof over all of Z^n, and the reports say
 so by carrying their probe ranges.
+
+Every symbol is sampled by operators._symbol_rows at the grid nodes, once per
+check: the class check takes the whole (extended probe window) x (nodes)
+array, forms each lattice difference as a weighted sum of shifted blocks and
+each torus derivative as one batched FFT over the node axes.
 """
 
 from __future__ import annotations
@@ -12,28 +17,22 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .lattice import MultiIndex, Window, as_index, add_index, neg_index
-from .operators import OperatorMatrix, PdoSymbol, _symbol_rows
+from .lattice import MultiIndex, Window, as_index, add_index
+from .operators import OperatorMatrix, PdoSymbol, _check_samples, _symbol_rows
 from .torus import TorusGrid, TorusSamples
 
 
 @dataclass(frozen=True)
 class ToroidalSymbol:
-    """Evaluator (x in [0,1)^dim, xi in Z^dim) -> complex.
-
-    `rows`, when given, is the same symbol on arrays: rows(xi, x) with xi a
-    (K, dim) int64 array of lattice points and x an (N, dim) array of torus
-    points returns a complex array broadcastable to (K, N).
-    """
+    """Evaluator (x in [0,1)^dim, xi in Z^dim) -> complex."""
 
     dim: int
     eval: Callable[[np.ndarray, MultiIndex], complex]
-    rows: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
 
 def difference(sigma: Callable[[MultiIndex], complex], alpha, xi) -> complex:
@@ -62,6 +61,17 @@ def _difference_weights(alpha: MultiIndex) -> list[tuple[MultiIndex, float]]:
     return weights
 
 
+def _derivative_factor(beta: MultiIndex, M: int, dim: int) -> np.ndarray:
+    """prod_i (2 pi i xi_i)^{beta_i} on the symmetric frequencies of the M^dim box."""
+    if any(c < 0 for c in beta):
+        raise ValueError(f"beta must be componentwise >= 0, got {beta}")
+    freqs = 2j * np.pi * np.fft.fftfreq(M, d=1.0 / M)
+    factor = np.ones((1,) * dim, dtype=np.complex128)
+    for axis_freqs, order in zip(np.ix_(*[freqs] * dim), beta):
+        factor = factor * axis_freqs**order
+    return factor
+
+
 def torus_derivative(F: TorusSamples, beta) -> TorusSamples:
     """Spectral derivative d^beta/dx^beta of band-limited grid samples.
 
@@ -74,13 +84,7 @@ def torus_derivative(F: TorusSamples, beta) -> TorusSamples:
     if len(b) != g.dim:
         raise ValueError("beta must match the grid dimension")
     M, n = g.resolution, g.dim
-    spec = np.fft.fftn(F.values.reshape([M] * n))
-    freqs = np.fft.fftfreq(M, d=1.0 / M)
-    for axis, order in enumerate(b):
-        if order:
-            shape = [1] * n
-            shape[axis] = M
-            spec = spec * (2j * np.pi * freqs.reshape(shape)) ** order
+    spec = np.fft.fftn(F.values.reshape([M] * n)) * _derivative_factor(b, M, n)
     return TorusSamples(g, np.fft.ifftn(spec).ravel())
 
 
@@ -153,10 +157,11 @@ def save_class_report(report: ClassReport, path) -> None:
         fh.write("\n")
 
 
-def _weight_value(xi: MultiIndex, style: str) -> float:
-    norm = math.sqrt(sum(c * c for c in xi))
+def _weights(points: np.ndarray, style: str) -> np.ndarray:
+    """w(xi) at each row of a (..., dim) array of lattice points."""
+    norm = np.sqrt(np.sum(points.astype(np.float64) ** 2, axis=-1))
     if style == "japanese-bracket":
-        return math.sqrt(1.0 + norm * norm)
+        return np.sqrt(1.0 + norm * norm)
     if style == "one-plus-norm":
         return 1.0 + norm
     raise ValueError(f"unknown weight style {style!r}")
@@ -168,6 +173,93 @@ def _orders_up_to(dim: int, total: int) -> list[MultiIndex]:
         if sum(a) <= total:
             out.append(a)
     return sorted(out, key=lambda a: (sum(a), a))
+
+
+def _class_report(
+    sample: Callable[[np.ndarray], np.ndarray],
+    dim: int,
+    order_m: float,
+    rho: float,
+    delta: float,
+    n1: int,
+    n2: int,
+    probe_window: Window,
+    grid: TorusGrid,
+    weight: str,
+    tolerance: float,
+    growth_margin: float,
+) -> ClassReport:
+    """The class check on sample(xi) = (K, M^dim) symbol rows at K int64 points xi."""
+    if not 0 <= rho < 1:
+        raise ValueError(f"rho must lie in [0, 1), got {rho}")
+    if not 0 <= delta <= 1:
+        raise ValueError(f"delta must lie in [0, 1], got {delta}")
+    if n1 < 0 or n2 < 0:
+        raise ValueError(f"n1 and n2 must be >= 0, got {n1}, {n2}")
+    if dim != probe_window.dim or dim != grid.dim:
+        raise ValueError("dimension mismatch")
+
+    extended = Window(
+        dim, probe_window.lo, tuple(h + n1 for h in probe_window.hi)
+    )
+    _check_samples(extended.cardinality * grid.node_count)
+    M = grid.resolution
+    widths = tuple(h - l + 1 for l, h in zip(probe_window.lo, probe_window.hi))
+    points = probe_window.indices().reshape(widths + (dim,))
+    w = _weights(points, weight)
+    sup = np.max(np.abs(points), axis=-1)
+    inner = sup <= int(sup.max()) // 2
+
+    # (probe axes + n1) x (node axes): a lattice shift is a slice of the probe axes
+    block = sample(extended.indices()).reshape(
+        tuple(k + n1 for k in widths) + (M,) * dim
+    )
+    node_axes = tuple(range(dim, 2 * dim))
+
+    rows = []
+    for al in _orders_up_to(dim, n1):
+        diff = sum(
+            c * block[tuple(slice(o, o + n) for o, n in zip(off, widths))]
+            for off, c in _difference_weights(al)
+        )
+        spec = np.fft.fftn(diff, axes=node_axes)
+        for be in _orders_up_to(dim, n2):
+            if sum(be) == 0:
+                vals = diff
+            else:
+                vals = np.fft.ifftn(
+                    spec * _derivative_factor(be, M, dim), axes=node_axes
+                )
+            expo = order_m - rho * sum(al) + delta * sum(be)
+            weighted = np.max(np.abs(vals), axis=node_axes) * w ** (-expo)
+            c_full = float(np.max(weighted, initial=0.0))
+            c_inner = float(np.max(weighted, where=inner, initial=0.0))
+            growing = (
+                c_full > 1e-9
+                and c_full > c_inner * (1.0 + growth_margin) + 1e-12
+            )
+            rows.append(
+                ClassRow(
+                    alpha=al,
+                    beta=be,
+                    constant=c_full,
+                    weight_exponent=expo,
+                    inner_constant=c_inner,
+                    growing=growing,
+                )
+            )
+    bounded = all(not r.growing and r.constant <= tolerance for r in rows)
+    return ClassReport(
+        rows=rows,
+        verdict="bounded" if bounded else "unbounded",
+        order=order_m,
+        rho=rho,
+        delta=delta,
+        weight=weight,
+        tolerance=tolerance,
+        probe_window=probe_window,
+        resolution=grid.resolution,
+    )
 
 
 def class_check(
@@ -189,85 +281,10 @@ def class_check(
     |beta| <= n2.  Verdict "bounded" requires every constant at most
     `tolerance` and no growth from the inner half-window to the full window.
     """
-    if not 0 <= rho < 1:
-        raise ValueError(f"rho must lie in [0, 1), got {rho}")
-    if not 0 <= delta <= 1:
-        raise ValueError(f"delta must lie in [0, 1], got {delta}")
-    if a.dim != probe_window.dim or a.dim != grid.dim:
-        raise ValueError("dimension mismatch")
-
-    dim = a.dim
-    nodes = grid.nodes()
-    extended = Window(
-        dim, probe_window.lo, tuple(h + n1 for h in probe_window.hi)
-    )
-    keys = extended.points()
-    if a.rows is not None:
-        rows = a.rows(extended.indices(), nodes)
-        samples = np.broadcast_to(rows, (len(keys), len(nodes)))
-    else:
-        samples = [[a.eval(x, xi) for x in nodes] for xi in keys]
-    cache = dict(zip(keys, np.asarray(samples, dtype=np.complex128)))
-
-    probe_points = probe_window.points()
-    radius = max(max(abs(c) for c in xi) for xi in probe_points)
-    inner_radius = radius // 2
-
-    alphas = _orders_up_to(dim, n1)
-    betas = _orders_up_to(dim, n2)
-    full = {(al, be): 0.0 for al in alphas for be in betas}
-    inner = {(al, be): 0.0 for al in alphas for be in betas}
-
-    for xi in probe_points:
-        is_inner = max(abs(c) for c in xi) <= inner_radius
-        for al in alphas:
-            diff = np.zeros(len(nodes), dtype=np.complex128)
-            for off, w in _difference_weights(al):
-                diff = diff + w * cache[add_index(xi, off)]
-            base = TorusSamples(grid, diff)
-            for be in betas:
-                if sum(be) == 0:
-                    vals = base.values
-                else:
-                    vals = torus_derivative(base, be).values
-                expo = order_m - rho * sum(al) + delta * sum(be)
-                weighted = float(np.max(np.abs(vals))) * _weight_value(
-                    xi, weight
-                ) ** (-expo)
-                key = (al, be)
-                full[key] = max(full[key], weighted)
-                if is_inner:
-                    inner[key] = max(inner[key], weighted)
-
-    rows = []
-    for al in alphas:
-        for be in betas:
-            c_full, c_inner = full[(al, be)], inner[(al, be)]
-            growing = (
-                c_full > 1e-9
-                and c_full > c_inner * (1.0 + growth_margin) + 1e-12
-            )
-            rows.append(
-                ClassRow(
-                    alpha=al,
-                    beta=be,
-                    constant=c_full,
-                    weight_exponent=order_m - rho * sum(al) + delta * sum(be),
-                    inner_constant=c_inner,
-                    growing=growing,
-                )
-            )
-    bounded = all(not r.growing and r.constant <= tolerance for r in rows)
-    return ClassReport(
-        rows=rows,
-        verdict="bounded" if bounded else "unbounded",
-        order=order_m,
-        rho=rho,
-        delta=delta,
-        weight=weight,
-        tolerance=tolerance,
-        probe_window=probe_window,
-        resolution=grid.resolution,
+    pdo = PdoSymbol(a.dim, lambda n, x: a.eval(x, n))
+    return _class_report(
+        lambda xi: _symbol_rows(pdo, xi, grid), a.dim, order_m, rho, delta,
+        n1, n2, probe_window, grid, weight, tolerance, growth_margin,
     )
 
 
@@ -288,23 +305,9 @@ def cv_check(
     rule a(x, xi) = conj(m(-xi, x)), placing the difference operator and the
     weight on the (unbounded) lattice variable.
     """
-    tilde = ToroidalSymbol(
-        m_sym.dim,
-        lambda x, xi: np.conj(m_sym.eval(neg_index(xi), x)),
-        lambda xi, x: np.conj(_symbol_rows(m_sym, -xi, x)),
-    )
-    return class_check(
-        tilde,
-        order_m=0.0,
-        rho=rho,
-        delta=rho,
-        n1=n1,
-        n2=n2,
-        probe_window=probe_window,
-        grid=grid,
-        weight=weight,
-        tolerance=tolerance,
-        growth_margin=growth_margin,
+    return _class_report(
+        lambda xi: np.conj(_symbol_rows(m_sym, -xi, grid)), m_sym.dim, 0.0, rho,
+        rho, n1, n2, probe_window, grid, weight, tolerance, growth_margin,
     )
 
 
@@ -348,11 +351,10 @@ def gohberg_decay(
     radii = list(radii)
     if radii != sorted(radii):
         raise ValueError("radii must be increasing")
-    if radii and radii[0] < 0:
-        raise ValueError(f"radii must be >= 0, got {radii[0]}")
-    nodes = grid.nodes()
+    if not radii or radii[0] < 0:
+        raise ValueError(f"radii must be nonempty and >= 0, got {radii[:1]}")
     values = [
-        float(np.max(np.abs(_symbol_rows(m_sym, _shell_points(grid.dim, r), nodes))))
+        float(np.max(np.abs(_symbol_rows(m_sym, _shell_points(grid.dim, r), grid))))
         for r in radii
     ]
     half = len(values) // 2
@@ -360,7 +362,7 @@ def gohberg_decay(
     nonincreasing = all(
         b <= a + 1e-12 for a, b in zip(tail, tail[1:])
     )
-    consistent = nonincreasing and (not tail or tail[-1] <= tolerance)
+    consistent = nonincreasing and tail[-1] <= tolerance
     return GohbergReport(
         radii=radii,
         values=values,

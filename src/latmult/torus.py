@@ -40,9 +40,7 @@ class TorusGrid:
 
     def node_indices(self) -> np.ndarray:
         """(M^dim, dim) array of integer node indices j, lexicographic."""
-        axes = [np.arange(self.resolution) for _ in range(self.dim)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
+        return np.indices((self.resolution,) * self.dim).reshape(self.dim, -1).T
 
     def nodes(self) -> np.ndarray:
         """(M^dim, dim) array of node coordinates j/M in [0,1)."""

@@ -363,6 +363,12 @@ def test_gohberg_unknown_symbol_exits_2():
     assert main(["gohberg", "--symbol", "nope"]) == 2
 
 
+def test_gohberg_without_radii_exits_2(capsys):
+    # used to print "# verdict=consistent" for the non-compact symbol
+    assert main(["gohberg", "--symbol", "one", "--max-radius", "-1"]) == 2
+    assert "nonempty" in capsys.readouterr().err
+
+
 def test_spectrum_constant_symbol_flat(tmp_path):
     out = str(tmp_path / "spec.csv")
     rc = main(

@@ -11,6 +11,7 @@ from latmult.catalog import (
 )
 from latmult.fractional import FractionalParams
 from latmult.lattice import (
+    Window,
     box,
     centered_window,
     convolve,
@@ -180,6 +181,21 @@ def test_symbol_sample_cap_is_checked_before_sampling():
         ):
             with pytest.raises(ValueError, match="symbol samples"):
                 call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+def test_apply_pdo_cap_is_checked_before_listing_the_output_window():
+    def never(n, xi):
+        raise AssertionError("symbol evaluated past the sample cap")
+
+    out = Window(1, (0,), (10**9 - 1,))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="symbol samples"):
+            apply_pdo(PdoSymbol(1, never), delta(0), TorusGrid(1, 8), out)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

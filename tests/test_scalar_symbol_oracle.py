@@ -25,7 +25,7 @@ from latmult.operators import (
     sample_multiplier,
 )
 from latmult.symbols import _shell_points, cv_check, gohberg_decay
-from latmult.torus import TorusGrid
+from latmult.torus import TorusGrid, inverse_dft
 
 TOL = 1e-12
 
@@ -129,7 +129,7 @@ def test_catalog_pdo_rows_match_scalar_oracle(name, dim):
     pts = centered_window(9 if dim == 1 else 3, dim).indices()
     want = scalar_rows(ORACLE_PDO[name], pts.tolist(), grid)
     quiet = dataclasses.replace(sym, eval=never)
-    assert np.max(np.abs(_symbol_rows(quiet, pts, grid.nodes()) - want)) <= TOL
+    assert np.max(np.abs(_symbol_rows(quiet, pts, grid) - want)) <= TOL
     assert np.max(np.abs(scalar_rows(sym.eval, pts.tolist(), grid) - want)) <= TOL
 
 
@@ -141,8 +141,19 @@ def test_multiplier_as_pdo_rows_broadcast_one_sample_row(dim):
     pts = centered_window(4 if dim == 1 else 2, dim).indices()
     oracle = oracle_kernel(k)
     want = scalar_rows(lambda n, xi: oracle(xi), pts.tolist(), grid)
-    got = _symbol_rows(multiplier_as_pdo(catalog.kernel_multiplier(k)), pts, grid.nodes())
+    got = _symbol_rows(multiplier_as_pdo(catalog.kernel_multiplier(k)), pts, grid)
     assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= TOL
+
+
+def test_multiplier_as_pdo_section_keeps_exact_phases():
+    # k=3 phases m^3 xi lost 3.1e-9 when the section sampled m through eval
+    m = catalog.fractional_multiplier(FractionalParams(3, 0.5), 400)
+    grid, window = TorusGrid(1, 1024), centered_window(8)
+    k = inverse_dft(sample_multiplier(m, grid), centered_window(16))
+    pts = [p[0] for p in window.points()]
+    want = np.array([[k[(a - b,)] for b in pts] for a in pts])
+    got = pdo_matrix(multiplier_as_pdo(m), window, grid).entries
     assert np.max(np.abs(got - want)) <= TOL
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from latmult.catalog import (
     oscillating_decay_pdo,
     smooth_decay_pdo,
 )
-from latmult.lattice import box, centered_window
+from latmult.lattice import Window, box, centered_window
 from latmult.operators import OperatorMatrix, PdoSymbol, pdo_matrix
 from latmult.symbols import (
     ToroidalSymbol,
@@ -86,6 +87,12 @@ def test_torus_derivative_dimension_guard():
     F = sample_function(grid, lambda x: 1.0)
     with pytest.raises(ValueError):
         torus_derivative(F, (1, 0))
+
+
+def test_torus_derivative_rejects_negative_order():
+    F = sample_function(TorusGrid(1, 8), lambda x: 1.0)
+    with pytest.raises(ValueError, match=">= 0"):
+        torus_derivative(F, (-1,))
 
 
 def test_class_check_bracket_power_symbol():
@@ -166,6 +173,36 @@ def test_cv_check_coordinate_symbol_unbounded():
     assert not report.bounded
 
 
+def test_negative_orders_are_rejected():
+    # an empty row list used to certify the unbounded coordinate symbol
+    probe, grid = centered_window(12), TorusGrid(1, 16)
+    a = ToroidalSymbol(1, lambda x, xi: float(xi[0]))
+    for n1, n2 in ((1, -1), (-1, 1)):
+        with pytest.raises(ValueError, match=">= 0"):
+            cv_check(coordinate_pdo(), 0.5, n1, n2, probe, grid)
+        with pytest.raises(ValueError, match=">= 0"):
+            class_check(a, 0.0, 0.0, 0.0, n1, n2, probe, grid)
+
+
+def test_class_sample_cap_is_checked_before_listing_the_probe_window():
+    def never(*args):
+        raise AssertionError("symbol evaluated past the sample cap")
+
+    probe, grid = Window(1, (0,), (10**9 - 1,)), TorusGrid(1, 8)
+    tracemalloc.start()
+    try:
+        for call in (
+            lambda: class_check(ToroidalSymbol(1, never), 0.0, 0.0, 0.0, 1, 1, probe, grid),
+            lambda: cv_check(PdoSymbol(1, never), 0.0, 1, 1, probe, grid),
+        ):
+            with pytest.raises(ValueError, match="symbol samples"):
+                call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
 def test_gohberg_inverse_distance_closed_form():
     report = gohberg_decay(
         inverse_distance_pdo(), TorusGrid(1, 8), list(range(0, 9))
@@ -189,6 +226,12 @@ def test_gohberg_constant_symbol_not_compact():
 def test_gohberg_rejects_unsorted_radii():
     with pytest.raises(ValueError):
         gohberg_decay(PdoSymbol(1, lambda n, xi: 1.0), TorusGrid(1, 4), [2, 1])
+
+
+def test_gohberg_rejects_empty_radii():
+    # no radius probed used to give the verdict "consistent"
+    with pytest.raises(ValueError, match="nonempty"):
+        gohberg_decay(PdoSymbol(1, lambda n, xi: 1.0), TorusGrid(1, 4), [])
 
 
 def test_singular_tail_diagonal_matrix():
