@@ -38,7 +38,6 @@ from .operators import (
     MultiplierSymbol,
     OperatorMatrix,
     PdoSymbol,
-    apply_by_kernel,
     apply_multiplier,
     apply_pdo,
     conjugation_residual,

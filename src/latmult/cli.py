@@ -13,6 +13,7 @@ import argparse
 import itertools
 import json
 import sys
+from dataclasses import asdict
 from functools import lru_cache
 
 import numpy as np
@@ -31,11 +32,11 @@ from .fractional import (
 )
 from .lattice import (
     Window,
-    add_index,
     box,
     centered_window,
     load_jsonl,
     save_jsonl,
+    sum_points,
 )
 from .norms import equivalent_seminorm, lp_norm, weak_norm
 from .operators import (
@@ -65,9 +66,9 @@ def _parse_window(spec: str, dim: int) -> Window:
     return box(tuple(lo), tuple(hi))
 
 
-def _aliased(points, resolution: int) -> bool:
-    """Report and return True when two points collide mod the grid resolution."""
-    if alias_free(points, resolution):
+def _aliased(points, window: Window, resolution: int) -> bool:
+    """Report and return True when two of points and window collide mod the grid."""
+    if alias_free(points, resolution, window):
         return False
     msg = f"aliasing certificate failed: support and window collide mod {resolution}"
     print(f"error: {msg}", file=sys.stderr)
@@ -91,6 +92,20 @@ def _write_text(text: str, path) -> None:
         fh.write(text)
 
 
+def _load_input(path):
+    try:
+        return load_jsonl(path)
+    except (OSError, ValueError, KeyError) as exc:
+        raise ValueError(f"cannot read input: {exc}") from None
+
+
+def _pdo_builtin(name: str):
+    if name not in catalog.PDO_BUILTINS:
+        choices = sorted(catalog.PDO_BUILTINS)
+        raise ValueError(f"unknown symbol {name!r}; choose from {choices}")
+    return catalog.PDO_BUILTINS[name]()
+
+
 def _save(write, value, path) -> int:
     """write(value, path); exit code 0, or 4 when the output is unwritable."""
     try:
@@ -102,30 +117,23 @@ def _save(write, value, path) -> int:
 
 
 def cmd_apply(args) -> int:
-    try:
-        f = load_jsonl(args.input)
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"error: cannot read input: {exc}", file=sys.stderr)
-        return 2
+    f = _load_input(args.input)
     window = _parse_window(args.window, f.dim)
     if args.symbol == "fractional":
         params = FractionalParams(args.k, args.lam, args.gamma)
         out = apply_fractional(params, f, window)
     else:
         grid = TorusGrid(f.dim, args.grid_res)
+        points = f.arrays()[0]
         if args.symbol == "grid-file":
             if args.symbol_file is None:
-                print("error: --symbol grid-file needs --symbol-file", file=sys.stderr)
-                return 2
+                raise ValueError("--symbol grid-file needs --symbol-file")
             try:
                 samples = load_csv(args.symbol_file)
             except (OSError, ValueError) as exc:
-                print(f"error: cannot read symbol file: {exc}", file=sys.stderr)
-                return 2
+                raise ValueError(f"cannot read symbol file: {exc}") from None
             if samples.grid != grid:
-                print("error: symbol grid does not match the input", file=sys.stderr)
-                return 2
-            reach = []
+                raise ValueError("symbol grid does not match the input")
         else:
             if args.symbol == "identity":
                 m = catalog.identity_multiplier(f.dim)
@@ -134,8 +142,8 @@ def cmd_apply(args) -> int:
                 m = catalog.modulation_multiplier(shift)
             samples = sample_multiplier(m, grid)
             # t_m f lives on supp f + supp kernel, which must not alias the window
-            reach = [add_index(a, b) for a in f.support() for b in m.kernel.support()]
-        if _aliased(f.support() + window.points() + reach, grid.resolution):
+            points = np.concatenate([points, sum_points(points, m.kernel.arrays()[0])])
+        if _aliased(points, window, grid.resolution):
             return 3
         F = dft(f, grid)
         out = inverse_dft(TorusSamples(grid, samples.values * F.values), window)
@@ -155,11 +163,7 @@ def cmd_kernel(args) -> int:
 
 
 def cmd_norm(args) -> int:
-    try:
-        f = load_jsonl(args.input)
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"error: cannot read input: {exc}", file=sys.stderr)
-        return 2
+    f = _load_input(args.input)
     result = {
         "p": _fmt(args.p),
         "lp": _fmt(lp_norm(f, args.p)),
@@ -182,7 +186,7 @@ def cmd_opnorm(args) -> int:
     grid = TorusGrid(m.dim, args.grid_res)
     window = centered_window(args.window_radius, m.dim)
     # the kernel is read on the dilated window that the certificate uses
-    if _aliased(m.kernel.support() + window.dilate(3).points(), grid.resolution):
+    if _aliased(m.kernel.arrays()[0], window.dilate(3), grid.resolution):
         return 3
     weak = opnorm_l1_weakp(m, args.p, grid, window)
     strong = opnorm_l1_lp(m, args.p, grid, window)
@@ -239,7 +243,8 @@ def _zeta_cached(s: float) -> float:
     return zeta(s)
 
 
-def _scan_cell(k: int, lam: float, gamma: float, p: float, q: float, terms: int):
+def _scan_cell(k: int, lam: float, gamma: float, p: float, q: float, terms: int) -> str:
+    """One CSV row of the scan: the truncated-kernel norms and the verdicts."""
     params = FractionalParams(k, lam, gamma)
     verdict = classify_weak_and_strong(params, p)
     # truncated-kernel norms in closed form (rearrangement j^{-lam})
@@ -253,19 +258,9 @@ def _scan_cell(k: int, lam: float, gamma: float, p: float, q: float, terms: int)
         predicted = classify_conjecture1(p, q, lam, k)
     else:
         predicted = verdict.strong_1p
-    return (
-        k,
-        lam,
-        gamma,
-        p,
-        q,
-        terms,
-        wk,
-        st,
-        "finite" if verdict.weak_1p else "divergent",
-        "finite" if verdict.strong_1p else "divergent",
-        predicted,
-    )
+    flags = ["finite" if v else "divergent" for v in (verdict.weak_1p, verdict.strong_1p)]
+    nums = [str(k), _fmt(lam), _fmt(gamma), _fmt(p), _fmt(q), str(terms), _fmt(wk), _fmt(st)]
+    return ",".join(nums + flags + ["true" if predicted else "false"])
 
 
 def _load_config(path) -> dict:
@@ -285,48 +280,18 @@ def cmd_scan(args) -> int:
         try:
             cfg = _load_config(args.config)
         except OSError as exc:
-            print(f"error: cannot read config: {exc}", file=sys.stderr)
-            return 2
-        # flags win over config values
-        if args.k_list is None and "k_list" in cfg:
-            args.k_list = cfg["k_list"]
-        if args.lam_range is None and "lam_range" in cfg:
-            args.lam_range = cfg["lam_range"]
-        if args.p_range is None and "p_range" in cfg:
-            args.p_range = cfg["p_range"]
+            raise ValueError(f"cannot read config: {exc}") from None
+        for key in ("k_list", "lam_range", "p_range"):  # flags win over config values
+            if getattr(args, key) is None and key in cfg:
+                setattr(args, key, cfg[key])
     ks = [int(x) for x in (args.k_list or "1,2,3").split(",")]
     lams = _parse_range(args.lam_range or "0.2:0.9:8")
     ps = _parse_range(args.p_range or "1.5:3:4")
-    cells = list(itertools.product(ks, lams, ps))
-    rows = []
-    for i, (k, lam, p) in enumerate(cells):
-        if i < args.start_cell:
-            continue
-        rows.append(_scan_cell(k, lam, args.gamma, p, args.q, args.terms))
-    header = (
-        "k,lambda,gamma,p,q,M,weak_norm,strong_norm,"
-        "weak_flag,strong_flag,predicted_bounded"
-    )
-    lines = [header]
-    for row in rows:
-        k, lam, gam, p, q, terms, wk, st, wf, sf, pred = row
-        lines.append(
-            ",".join(
-                [
-                    str(k),
-                    _fmt(lam),
-                    _fmt(gam),
-                    _fmt(p),
-                    _fmt(q),
-                    str(terms),
-                    _fmt(wk),
-                    _fmt(st),
-                    wf,
-                    sf,
-                    "true" if pred else "false",
-                ]
-            )
-        )
+    cells = list(itertools.product(ks, lams, ps))[max(args.start_cell, 0):]
+    lines = [
+        "k,lambda,gamma,p,q,M,weak_norm,strong_norm,weak_flag,strong_flag,predicted_bounded"
+    ]
+    lines += [_scan_cell(k, lam, args.gamma, p, args.q, args.terms) for k, lam, p in cells]
     return _save(_write_text, "\n".join(lines) + "\n", args.out)
 
 
@@ -341,17 +306,10 @@ def cmd_kstar(args) -> int:
 
 
 def cmd_gohberg(args) -> int:
-    maker = catalog.PDO_BUILTINS.get(args.symbol)
-    if maker is None:
-        print(
-            f"error: unknown symbol {args.symbol!r}; "
-            f"choose from {sorted(catalog.PDO_BUILTINS)}",
-            file=sys.stderr,
-        )
-        return 2
     grid = TorusGrid(1, args.grid_res)
     report = gohberg_decay(
-        maker(), grid, list(range(args.max_radius + 1)), tolerance=args.tolerance
+        _pdo_builtin(args.symbol), grid, list(range(args.max_radius + 1)),
+        tolerance=args.tolerance,
     )
     lines = ["radius,decay"]
     for r, v in zip(report.radii, report.values):
@@ -361,13 +319,9 @@ def cmd_gohberg(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    maker = catalog.PDO_BUILTINS.get(args.symbol)
-    if maker is None:
-        print(f"error: unknown symbol {args.symbol!r}", file=sys.stderr)
-        return 2
     grid = TorusGrid(1, args.grid_res)
     window = centered_window(args.window_radius)
-    A = pdo_matrix(maker(), window, grid)
+    A = pdo_matrix(_pdo_builtin(args.symbol), window, grid)
     values = singular_tail(A, args.count)
     lines = ["index,singular_value"]
     for i, v in enumerate(values):
@@ -378,22 +332,8 @@ def cmd_spectrum(args) -> int:
 def cmd_verify(args) -> int:
     results = run_all(fault=args.inject_fault, seed=args.seed)
     if args.format == "json":
-        print(
-            json.dumps(
-                [
-                    {
-                        "criterion": r.criterion,
-                        "name": r.name,
-                        "passed": bool(r.passed),
-                        "measured": r.measured,
-                        "tolerance": r.tolerance,
-                        "elapsed": r.elapsed,
-                    }
-                    for r in results
-                ],
-                indent=2,
-            )
-        )
+        rows = [{**asdict(r), "passed": bool(r.passed)} for r in results]
+        print(json.dumps(rows, indent=2))
     else:
         for r in results:
             status = "PASS" if r.passed else "FAIL"

@@ -14,7 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import LatticeSequence, Window, sequence
+from .lattice import (
+    LatticeSequence,
+    Window,
+    check_budget,
+    convolve,
+    from_arrays,
+    restrict,
+    sequence,
+)
 from .torus import TorusGrid, TorusSamples, dft, lq_torus_norm
 
 
@@ -52,12 +60,6 @@ def _coefficients(params: FractionalParams, m: np.ndarray) -> np.ndarray:
     return m ** (-lam) * np.exp(-1j * gam * np.log(m))
 
 
-def _terms(params: FractionalParams, count: int) -> tuple[list[int], np.ndarray]:
-    """Support points m^power as exact Python ints, and their values, m <= count."""
-    powers = [m**params.power for m in range(1, count + 1)]
-    return powers, _coefficients(params, np.arange(1, count + 1, dtype=np.float64))
-
-
 def _iroot(n: int, k: int) -> int:
     """Largest r >= 0 with r^k <= n (0 when n < 1), exact integer Newton."""
     if n < 1:
@@ -80,12 +82,21 @@ def _zeta_tail(s: float, N: int) -> float:
     return N ** (1 - s) / (s - 1) - N**-s / 2.0 + s * N ** (-s - 1) / 12.0
 
 
+def _kernel(params: FractionalParams, first: int, last: int) -> LatticeSequence:
+    """Kernel terms m^{-decay} e^{-i gamma ln m} at m^power, first <= m <= last."""
+    check_budget(last - first + 1, "kernel terms")
+    m = np.arange(first, last + 1, dtype=np.int64)
+    if last**params.power > np.iinfo(np.int64).max:
+        m = m.astype(object)  # exact Python-int powers
+    coeff = _coefficients(params, np.arange(first, last + 1, dtype=np.float64))
+    return LatticeSequence((m**params.power)[:, None], coeff)
+
+
 def fractional_kernel(params: FractionalParams, max_m: int) -> LatticeSequence:
     """Truncated kernel: value m^{-decay} e^{-i gamma ln m} at m^power, m <= max_m."""
     if max_m < 1:
         raise ValueError(f"max_m must be >= 1, got {max_m}")
-    powers, coeff = _terms(params, max_m)
-    return LatticeSequence(1, {(n,): complex(c) for n, c in zip(powers, coeff)})
+    return _kernel(params, 1, max_m)
 
 
 def apply_fractional(
@@ -94,23 +105,35 @@ def apply_fractional(
     """Exact application on an output window: sum over m with n - m^power in supp(f).
 
     For each support point only finitely many shifts land inside the window,
-    so there is no truncation error.
+    so there is no truncation error.  When the kernel's span over them is at
+    most four entries per shift (k = 1, or a short window), f is convolved
+    with the kernel cut to those m; otherwise the shifts are scattered.
     """
     if f.dim != 1 or out.dim != 1:
         raise ValueError("fractional operators act on dimension-1 sequences")
     k, lo, hi = params.power, out.lo[0], out.hi[0]
-    entries: dict[tuple, complex] = {}
-    for (s,), v in f.entries.items():
-        # m runs over lo <= s + m^k <= hi, found by exact integer roots.
-        first = 1 if lo - s <= 1 else _iroot(lo - s - 1, k) + 1
-        last = _iroot(hi - s, k)
-        if first > last:
-            continue
-        w = v * _coefficients(params, np.arange(first, last + 1, dtype=np.float64))
-        for m, c in zip(range(first, last + 1), w.tolist()):
-            n = (s + m**k,)
-            entries[n] = entries.get(n, 0j) + c
-    return sequence(1, entries)
+    s, v = f.arrays()
+    if not -(2**63) <= lo <= hi < 2**63:
+        raise ValueError("lattice index does not fit in int64")
+    # m runs over lo <= s + m^k <= hi, found by exact integer roots.
+    first = [1 if lo - t <= 1 else _iroot(lo - t - 1, k) + 1 for t in s[:, 0].tolist()]
+    last = [_iroot(hi - t, k) for t in s[:, 0].tolist()]
+    hit = [i for i, (a, b) in enumerate(zip(first, last)) if a <= b]
+    if not hit:
+        return sequence(1, [])
+    counts = np.array([last[i] - first[i] + 1 for i in hit])
+    shifts = int(counts.sum())
+    m_lo, m_hi = min(first[i] for i in hit), max(last[i] for i in hit)
+    if len(s) * (m_hi**k - m_lo**k + 1) <= 4 * shifts and m_hi**k < 2**63:
+        return restrict(convolve(f, _kernel(params, m_lo, m_hi)), out)
+    check_budget(shifts, "fractional shifts")
+    step = np.arange(shifts) - np.repeat(np.cumsum(counts) - counts, counts)
+    m = np.repeat(np.array([first[i] for i in hit], dtype=np.uint64), counts)
+    m += step.astype(np.uint64)
+    row = np.repeat(hit, counts)
+    # uint64 wraps mod 2^64, so s + m^k is exact wherever it lands in the window
+    n = (s[row, 0].view(np.uint64) + m**k).view(np.int64)
+    return from_arrays(n[:, None], v[row] * _coefficients(params, m.astype(np.float64)))
 
 
 def weak_norm_closed_form(params: FractionalParams, p: float) -> NormResult:
@@ -205,9 +228,10 @@ def symbol_partial_sum(
         raise ValueError(f"terms must be >= 1, got {terms}")
     if grid.dim != 1:
         raise ValueError("fractional symbols live on the 1-dimensional torus")
-    powers, coeff = _terms(params, terms)
+    kern = fractional_kernel(params, terms)
     # m^power mod M in exact integers keeps every phase exact on the grid.
-    folded = sequence(1, zip([n % grid.resolution for n in powers], coeff))
+    residues = np.asarray(kern.idx % grid.resolution, dtype=np.int64)
+    folded = from_arrays(residues, kern.val)
     vals = dft(folded, grid).values
     if params.decay > 0.5:
         tail = math.sqrt(max(_zeta_tail(2.0 * params.decay, terms), 0.0))

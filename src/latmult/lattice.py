@@ -1,21 +1,33 @@
 """Finitely supported complex sequences on the integer lattice Z^n.
 
-Sequences are stored as exact maps from lattice points (tuples of ints) to
-complex doubles.  Zero entries are pruned at construction; iteration over a
-support is always sorted lexicographically so every reduction downstream is
-deterministic.
+A sequence is two arrays: its support as an (n, dim) index array, sorted
+lexicographically with no point repeated, and the n complex128 values there,
+none of them exactly zero.  Indices are int64; when one does not fit, the
+whole index array holds exact Python ints instead, and `arrays()`, so every
+transform, raises ValueError.  Building a sequence sums repeated points in
+input order and prunes exact zeros.  Every allocation whose size typed input
+controls is checked against MAX_ELEMENTS first and raises ValueError above it.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
 MultiIndex = tuple
+
+# Largest array (convolution pairs or box, fractional shifts or kernel terms,
+# window points) built from typed input: 2^26 complex128 values are 1 GiB.
+MAX_ELEMENTS = 2**26
+
+
+def check_budget(size: int, what: str, limit: int = MAX_ELEMENTS) -> None:
+    if size > limit:
+        raise ValueError(f"{size} {what} exceed the size budget {limit}")
 
 
 def as_index(point) -> MultiIndex:
@@ -25,87 +37,175 @@ def as_index(point) -> MultiIndex:
     return tuple(int(c) for c in point)
 
 
-def add_index(a: MultiIndex, b: MultiIndex) -> MultiIndex:
-    return tuple(x + y for x, y in zip(a, b))
+def _fits(lo, hi) -> bool:
+    return -(2**63) <= min(lo) and max(hi) < 2**63
 
 
-def index_array(points, dim: int) -> np.ndarray:
-    """(len(points), dim) int64 array of lattice points.
-
-    Raises ValueError when a coordinate does not fit in int64.
-    """
+def exact_indices(points) -> np.ndarray:
+    """Integer array of `points`: int64 when every entry fits, else Python ints."""
     try:
-        return np.array(points, dtype=np.int64).reshape(len(points), dim)
+        return np.asarray(points, dtype=np.int64)
     except OverflowError:
-        raise ValueError("lattice index does not fit in int64") from None
+        return np.asarray(points, dtype=object)
+
+
+def _span(idx: np.ndarray) -> tuple[list[int], list[int]]:
+    """Per-axis minimum and maximum of a nonempty (n, dim) index array."""
+    return idx.min(0).tolist(), idx.max(0).tolist()
+
+
+def _sum_indices(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a + b for broadcastable (..., dim) index arrays, exact: int64 never wraps."""
+    if a.dtype == b.dtype == np.int64:
+        if not (a.size and b.size):
+            return a + b
+        a_lo, a_hi = _span(a.reshape(-1, a.shape[-1]))
+        b_lo, b_hi = _span(b.reshape(-1, b.shape[-1]))
+        if _fits([x + y for x, y in zip(a_lo, b_lo)], [x + y for x, y in zip(a_hi, b_hi)]):
+            return a + b
+    return exact_indices(a.astype(object) + b.astype(object))
 
 
 @dataclass(frozen=True, eq=False)
 class LatticeSequence:
-    """Finitely supported complex function on Z^dim."""
+    """Finitely supported complex function on Z^dim, in the canonical form above.
 
-    dim: int
-    entries: Mapping[MultiIndex, complex]
+    Build one with `sequence`, `from_arrays` or the operations below; the
+    constructor takes the two arrays as they are.
+    """
+
+    idx: np.ndarray
+    val: np.ndarray
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
-        for idx in self.entries:
-            if len(idx) != self.dim:
-                raise ValueError(f"index {idx} does not have dim {self.dim}")
+        if self.idx.ndim != 2 or self.idx.shape[1] < 1:
+            raise ValueError(f"dim must be >= 1, got index shape {self.idx.shape}")
+        if self.val.shape != (len(self.idx),):
+            raise ValueError("one value per support point")
+        self.idx.setflags(write=False)
+        self.val.setflags(write=False)
+
+    @property
+    def dim(self) -> int:
+        return self.idx.shape[1]
+
+    @property
+    def entries(self) -> Mapping[MultiIndex, complex]:
+        """Read-only {point: value} view, in support order; copies nothing."""
+        return _Entries(self)
 
     def support(self) -> list[MultiIndex]:
-        return sorted(self.entries)
+        return list(map(tuple, self.idx.tolist()))
+
+    def _row(self, point) -> int | None:
+        """Row of point in the support, by binary search one axis at a time."""
+        key = as_index(point)
+        if len(key) != self.dim:
+            return None
+        lo, hi = 0, len(self.val)
+        for d, c in enumerate(key):
+            col = self.idx[lo:hi, d]
+            lo, hi = lo + np.searchsorted(col, c), lo + np.searchsorted(col, c, "right")
+        return lo if lo < hi else None
 
     def __getitem__(self, point) -> complex:
-        return self.entries.get(as_index(point), 0j)
+        """f(point); 0 off the support."""
+        row = self._row(point)
+        return 0j if row is None else complex(self.val[row])
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.val)
 
     def items(self) -> Iterator[tuple[MultiIndex, complex]]:
-        for idx in self.support():
-            yield idx, self.entries[idx]
+        return zip(self.support(), self.val.tolist())
 
     def magnitudes(self) -> np.ndarray:
-        """|f| over the support, in lexicographic support order."""
-        return np.array([abs(self.entries[i]) for i in self.support()])
+        """|f| over the support, in support order, rounded as abs(complex) is."""
+        return np.hypot(self.val.real, self.val.imag)  # np.abs may differ by an ulp
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(indices, values) in lexicographic support order.
-
-        Raises ValueError when an index does not fit in int64.
-        """
-        sup = self.support()
-        val = np.array([self.entries[i] for i in sup], dtype=np.complex128)
-        return index_array(sup, self.dim), val
+        """(indices, values) in support order, read-only; ValueError beyond int64."""
+        if self.idx.dtype == object:
+            raise ValueError("lattice index does not fit in int64")
+        return self.idx, self.val
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, LatticeSequence)
             and self.dim == other.dim
-            and dict(self.entries) == dict(other.entries)
+            and np.array_equal(self.idx, other.idx)
+            and np.array_equal(self.val, other.val)
         )
 
 
+class _Entries(Mapping):
+    """{point: value} view of a sequence: lookups by binary search, iteration in
+    support order."""
+
+    def __init__(self, f: LatticeSequence):
+        self._f = f
+
+    def __getitem__(self, point) -> complex:
+        row = self._f._row(point)
+        if row is None:
+            raise KeyError(point)
+        return complex(self._f.val[row])
+
+    def __iter__(self) -> Iterator[MultiIndex]:
+        return iter(self._f.support())
+
+    def __len__(self) -> int:
+        return len(self._f)
+
+    def items(self):
+        return self._f.items()
+
+    def values(self):
+        return self._f.val.tolist()
+
+
+def from_arrays(idx: np.ndarray, val) -> LatticeSequence:
+    """The sequence with values val at the rows of idx.
+
+    Rows are sorted lexicographically, repeated rows summed in input order
+    from 0, as a running sum would, and exact zeros pruned.
+    """
+    val = np.asarray(val, dtype=np.complex128)
+    # any sort groups repeated rows; bincount then sums each group in input order
+    order = np.argsort(idx[:, 0]) if idx.shape[1] == 1 else np.lexsort(idx.T[::-1])
+    idx = idx[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = np.any(idx[1:] != idx[:-1], axis=1)
+    if first.all():
+        val = val[order] + 0j  # as in a sum from 0, -0.0 becomes 0.0
+    else:
+        group, idx = np.empty(len(order), dtype=np.intp), idx.compress(first, axis=0)
+        group[order] = np.cumsum(first) - 1
+        val, summed = np.empty(len(idx), dtype=np.complex128), val
+        val.real = np.bincount(group, summed.real, len(idx))
+        val.imag = np.bincount(group, summed.imag, len(idx))
+    keep = val != 0
+    return LatticeSequence(exact_indices(idx.compress(keep, axis=0)), val[keep])
+
+
 def sequence(dim: int, entries: Mapping | Iterable) -> LatticeSequence:
-    """Build a sequence, normalizing indices and pruning exact zeros."""
+    """Build a sequence from {point: value} or (point, value) pairs."""
     pairs = entries.items() if isinstance(entries, Mapping) else entries
-    pruned: dict[MultiIndex, complex] = {}
+    points, values = [], []
     for point, value in pairs:
-        idx = as_index(point)
-        v = complex(value)
-        if v != 0:
-            pruned[idx] = pruned.get(idx, 0j) + v
-            if pruned[idx] == 0:
-                del pruned[idx]
-    return LatticeSequence(dim, pruned)
+        points.append(as_index(point))
+        values.append(complex(value))
+        if len(points[-1]) != dim:
+            raise ValueError(f"index {points[-1]} does not have dim {dim}")
+    return from_arrays(exact_indices(points).reshape(len(points), dim), values)
 
 
 def delta(point, dim: int | None = None) -> LatticeSequence:
     """Characteristic function of a single lattice point."""
     idx = as_index(point)
-    return LatticeSequence(dim if dim is not None else len(idx), {idx: 1.0 + 0j})
+    if dim is not None and len(idx) != dim:
+        raise ValueError(f"index {idx} does not have dim {dim}")
+    return LatticeSequence(exact_indices([idx]), np.ones(1, dtype=np.complex128))
 
 
 def translate(f: LatticeSequence, shift) -> LatticeSequence:
@@ -113,32 +213,56 @@ def translate(f: LatticeSequence, shift) -> LatticeSequence:
     s = as_index(shift)
     if len(s) != f.dim:
         raise ValueError(f"shift dim {len(s)} != sequence dim {f.dim}")
-    return LatticeSequence(f.dim, {add_index(i, s): v for i, v in f.entries.items()})
+    return LatticeSequence(_sum_indices(f.idx, exact_indices([s])), f.val)
 
 
 def scale(f: LatticeSequence, c: complex) -> LatticeSequence:
-    return sequence(f.dim, {i: c * v for i, v in f.entries.items()})
+    return from_arrays(f.idx, c * f.val)
 
 
 def add(f: LatticeSequence, g: LatticeSequence) -> LatticeSequence:
     if f.dim != g.dim:
         raise ValueError("dimension mismatch")
-    out = dict(f.entries)
-    for i, v in g.entries.items():
-        out[i] = out.get(i, 0j) + v
-    return sequence(f.dim, out)
+    return from_arrays(np.concatenate([f.idx, g.idx]), np.concatenate([f.val, g.val]))
+
+
+def sum_points(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Every sum a_i + b_j of two (n, dim) index arrays, exact, i-major."""
+    check_budget(len(a) * len(b), "point sums")
+    return _sum_indices(a[:, None], b[None]).reshape(-1, a.shape[1])
 
 
 def convolve(f: LatticeSequence, g: LatticeSequence) -> LatticeSequence:
-    """Exact convolution (f*g)(x) = sum_y f(x-y) g(y) by direct double loop."""
+    """Exact convolution (f*g)(x) = sum_y f(x-y) g(y), a direct sum either way.
+
+    Over bounding boxes, one shifted copy of the box of the operand with more
+    points per point of the other, when the output box and those copies take
+    at most four entries per pair of support points; otherwise over the
+    pairs, summed by `from_arrays`.
+    """
     if f.dim != g.dim:
         raise ValueError(f"dimension mismatch: {f.dim} vs {g.dim}")
-    out: dict[MultiIndex, complex] = {}
-    for i, fv in f.entries.items():
-        for j, gv in g.entries.items():
-            k = add_index(i, j)
-            out[k] = out.get(k, 0j) + fv * gv
-    return sequence(f.dim, out)
+    pairs = len(f) * len(g)
+    if pairs and f.idx.dtype == g.idx.dtype == np.int64 and all(
+        np.isfinite(h.val).all() for h in (f, g)
+    ):
+        if len(f) > len(g):  # loop over the operand with fewer points
+            f, g = g, f
+        (f_lo, f_hi), (g_lo, g_hi) = _span(f.idx), _span(g.idx)
+        g_size = math.prod(h - l + 1 for l, h in zip(g_lo, g_hi))
+        lo = [a + b for a, b in zip(f_lo, g_lo)]
+        hi = [a + b for a, b in zip(f_hi, g_hi)]
+        shape = tuple(h - l + 1 for l, h in zip(lo, hi))
+        if math.prod(shape) + len(f) * g_size <= 4 * pairs and _fits(lo, hi):
+            check_budget(math.prod(shape), "convolution box entries")
+            g_box = np.zeros(tuple(g.idx.max(0) - g_lo + 1), dtype=np.complex128)
+            g_box[tuple((g.idx - g_lo).T)] = g.val
+            out = np.zeros(shape, dtype=np.complex128)
+            for i, v in zip((f.idx - f_lo).tolist(), f.val.tolist()):
+                out[tuple(slice(a, a + w) for a, w in zip(i, g_box.shape))] += v * g_box
+            pts = np.argwhere(out)  # in C order, which is lexicographic order
+            return LatticeSequence(pts + lo, out[tuple(pts.T)])
+    return from_arrays(sum_points(f.idx, g.idx), np.multiply.outer(f.val, g.val).ravel())
 
 
 @dataclass(frozen=True)
@@ -156,19 +280,30 @@ class Window:
             raise ValueError(f"empty window: lo={self.lo} hi={self.hi}")
 
     @property
+    def widths(self) -> tuple[int, ...]:
+        return tuple(h - l + 1 for l, h in zip(self.lo, self.hi))
+
+    @property
     def cardinality(self) -> int:
-        n = 1
-        for l, h in zip(self.lo, self.hi):
-            n *= h - l + 1
-        return n
+        return math.prod(self.widths)
 
     def points(self) -> list[MultiIndex]:
-        ranges = [range(l, h + 1) for l, h in zip(self.lo, self.hi)]
-        return list(itertools.product(*ranges))
+        return list(map(tuple, self.indices().tolist()))
 
     def indices(self) -> np.ndarray:
-        """points() as a (cardinality, dim) int64 array; ValueError beyond int64."""
-        return index_array(self.points(), self.dim)
+        """(cardinality, dim) int64 points, lexicographic; ValueError over the
+        size budget or beyond int64."""
+        check_budget(self.cardinality, "window points")
+        if not _fits(self.lo, self.hi):
+            raise ValueError("lattice index does not fit in int64")
+        return np.indices(self.widths).reshape(self.dim, -1).T + np.array(self.lo)
+
+    def contains(self, idx: np.ndarray) -> np.ndarray:
+        """Mask of the rows of an (n, dim) index array that lie in the window."""
+        inside = np.ones(len(idx), dtype=bool)
+        for d, (l, h) in enumerate(zip(self.lo, self.hi)):
+            inside &= (idx[:, d] >= l) & (idx[:, d] <= h)
+        return inside
 
     def __contains__(self, point) -> bool:
         idx = as_index(point)
@@ -178,12 +313,9 @@ class Window:
 
     def dilate(self, factor: int) -> "Window":
         """Widen each axis about its center so the radius grows by `factor`."""
-        lo, hi = [], []
-        for l, h in zip(self.lo, self.hi):
-            r = max((h - l + 1) // 2, 1)
-            lo.append(l - (factor - 1) * r)
-            hi.append(h + (factor - 1) * r)
-        return Window(self.dim, tuple(lo), tuple(hi))
+        r = [max(w // 2, 1) * (factor - 1) for w in self.widths]
+        lo = tuple(l - d for l, d in zip(self.lo, r))
+        return Window(self.dim, lo, tuple(h + d for h, d in zip(self.hi, r)))
 
 
 def box(lo, hi) -> Window:
@@ -196,30 +328,21 @@ def centered_window(radius: int, dim: int = 1) -> Window:
 
 
 def restrict(f: LatticeSequence, window: Window) -> LatticeSequence:
-    return LatticeSequence(
-        f.dim, {i: v for i, v in f.entries.items() if i in window}
-    )
+    keep = window.contains(f.idx)
+    return LatticeSequence(exact_indices(f.idx[keep]), f.val[keep])
 
 
 def save_jsonl(f: LatticeSequence, path) -> None:
     """JSON Lines: header {"dim": n}, then one object per support point."""
     with open(path, "w") as fh:
         fh.write(json.dumps({"dim": f.dim}) + "\n")
-        for idx, v in f.items():
-            fh.write(
-                json.dumps({"index": list(idx), "re": v.real, "im": v.imag}) + "\n"
-            )
+        for idx, v in zip(f.idx.tolist(), f.val.tolist()):
+            fh.write(json.dumps({"index": idx, "re": v.real, "im": v.imag}) + "\n")
 
 
 def load_jsonl(path) -> LatticeSequence:
+    """Inverse of save_jsonl; a repeated index keeps its last row."""
     with open(path) as fh:
-        header = json.loads(fh.readline())
-        dim = int(header["dim"])
-        entries = {}
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            row = json.loads(line)
-            entries[tuple(row["index"])] = complex(row["re"], row["im"])
-    return sequence(dim, entries)
+        dim = int(json.loads(fh.readline())["dim"])
+        rows = [json.loads(line) for line in fh if line.strip()]
+    return sequence(dim, {tuple(r["index"]): complex(r["re"], r["im"]) for r in rows})

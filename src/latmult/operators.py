@@ -2,7 +2,7 @@
 
 Operators are applied either on the frequency side (quadrature of the
 xi-integral against the dft of the input) or on the kernel side (exact
-convolution).  Finite sections are dense matrices on a window; the l^1 ->
+convolution, lattice.convolve).  Finite sections are dense matrices on a window; the l^1 ->
 l^{p,inf} and l^1 -> l^p operator norms come for free from the kernel, since
 both equal the corresponding norm of k = F^{-1} m and are attained by delta
 inputs.
@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .lattice import LatticeSequence, Window, convolve, sequence
+from .lattice import LatticeSequence, Window, check_budget, from_arrays
 from .norms import lp_norm, weak_norm
 from .torus import TorusGrid, TorusSamples, dft, from_grid, inverse_dft, sample_function
 
@@ -101,16 +101,6 @@ def apply_multiplier(
     return inverse_dft(MF, out)
 
 
-def apply_by_kernel(k: LatticeSequence, f: LatticeSequence) -> LatticeSequence:
-    """Kernel-side application t f(n) = sum_m k(n-m) f(m)."""
-    return convolve(k, f)
-
-
-def _check_samples(size: int) -> None:
-    if size > MAX_SYMBOL_SAMPLES:
-        raise ValueError(f"{size} symbol samples exceed the cap {MAX_SYMBOL_SAMPLES}")
-
-
 def _symbol_rows(a: PdoSymbol, points: np.ndarray, grid: TorusGrid) -> np.ndarray:
     """(K, M^dim) samples a(n, xi) at K int64 lattice points n and the grid nodes xi.
 
@@ -118,7 +108,7 @@ def _symbol_rows(a: PdoSymbol, points: np.ndarray, grid: TorusGrid) -> np.ndarra
     has it, one scalar a.eval call per entry otherwise.
     """
     shape = (len(points), grid.node_count)
-    _check_samples(shape[0] * shape[1])
+    check_budget(shape[0] * shape[1], "symbol samples", MAX_SYMBOL_SAMPLES)
     if a.rows is not None:
         rows = np.asarray(a.rows(points, grid), dtype=np.complex128)
         return np.broadcast_to(rows, shape)
@@ -135,12 +125,11 @@ def apply_pdo(
     """t_a f(n) = (1/M^n) sum_j e^{2 pi i n.xi_j} a(n, xi_j) (dft f)(xi_j)."""
     if a.dim != f.dim:
         raise ValueError("dimension mismatch")
-    _check_samples(out.cardinality * grid.node_count)
+    check_budget(out.cardinality * grid.node_count, "symbol samples", MAX_SYMBOL_SAMPLES)
     F = dft(f, grid)
     pts = out.indices()
     rows = _symbol_rows(a, pts, grid) * F.values
-    vals = from_grid(rows, pts[:, None, :], grid)[:, 0]
-    return sequence(out.dim, zip(map(tuple, pts.tolist()), vals))
+    return from_arrays(pts, from_grid(rows, pts[:, None, :], grid)[:, 0])
 
 
 def _section_points(window: Window, cap: int) -> np.ndarray:
@@ -159,10 +148,9 @@ def pdo_matrix(
 
 
 def apply_matrix(A: OperatorMatrix, f: LatticeSequence) -> LatticeSequence:
-    pts = A.window.points()
-    vec = np.array([f[p] for p in pts], dtype=np.complex128)
-    out = A.entries @ vec
-    return sequence(A.window.dim, zip(pts, out))
+    pts = A.window.indices()
+    vec = np.array([f[p] for p in pts.tolist()], dtype=np.complex128)
+    return from_arrays(pts, A.entries @ vec)
 
 
 @dataclass(frozen=True)
@@ -186,7 +174,7 @@ def _kernel_with_certificate(
     wide = window.dilate(3)
     k = inverse_dft(sample_multiplier(m, grid), wide)
     total = lp_norm(k, 1)
-    shell = sum(abs(v) for i, v in k.entries.items() if i not in window)
+    shell = sum(k.magnitudes()[~window.contains(k.idx)].tolist())
     certified = total == 0 or shell < 1e-9 * total
     return k, certified, shell
 
@@ -228,7 +216,7 @@ def conjugation_residual(
     union, where = np.unique(np.concatenate([pts, -pts]), axis=0, return_inverse=True)
     where = where.reshape(-1)
     # One cap for the union x nodes samples and the nodes x nodes A_grid below.
-    _check_samples(max(len(union), n_nodes) * n_nodes)
+    check_budget(max(len(union), n_nodes) * n_nodes, "symbol samples", MAX_SYMBOL_SAMPLES)
     nodes = grid.nodes()
     rows = _symbol_rows(a, union, grid)
     direct = from_grid(rows[where[:K]], pts[:, None] - pts[None], grid)

@@ -22,8 +22,8 @@ from typing import Callable
 
 import numpy as np
 
-from .lattice import MultiIndex, Window, as_index, add_index
-from .operators import OperatorMatrix, PdoSymbol, _check_samples, _symbol_rows
+from .lattice import MultiIndex, Window, as_index, check_budget
+from .operators import MAX_SYMBOL_SAMPLES, OperatorMatrix, PdoSymbol, _symbol_rows
 from .torus import TorusGrid, TorusSamples
 
 
@@ -46,7 +46,7 @@ def difference(sigma: Callable[[MultiIndex], complex], alpha, xi) -> complex:
     if any(c < 0 for c in a):
         raise ValueError(f"alpha must be componentwise >= 0, got {a}")
     return sum(
-        (w * sigma(add_index(point, b)) for b, w in _difference_weights(a)), 0j
+        (w * sigma(tuple(map(sum, zip(point, b)))) for b, w in _difference_weights(a)), 0j
     )
 
 
@@ -202,13 +202,17 @@ def _class_report(
     extended = Window(
         dim, probe_window.lo, tuple(h + n1 for h in probe_window.hi)
     )
-    _check_samples(extended.cardinality * grid.node_count)
+    check_budget(
+        extended.cardinality * grid.node_count, "symbol samples", MAX_SYMBOL_SAMPLES
+    )
     M = grid.resolution
     widths = tuple(h - l + 1 for l, h in zip(probe_window.lo, probe_window.hi))
     points = probe_window.indices().reshape(widths + (dim,))
     w = _weights(points, weight)
     sup = np.max(np.abs(points), axis=-1)
     inner = sup <= int(sup.max()) // 2
+    if not inner.any():
+        raise ValueError(f"no point of the probe window {probe_window} is in its inner half")
 
     # (probe axes + n1) x (node axes): a lattice shift is a slice of the probe axes
     block = sample(extended.indices()).reshape(
@@ -279,7 +283,8 @@ def class_check(
 
     Constants are suprema over probe_window x grid for |alpha| <= n1,
     |beta| <= n2.  Verdict "bounded" requires every constant at most
-    `tolerance` and no growth from the inner half-window to the full window.
+    `tolerance` and no growth from the inner half-window to the full window;
+    a probe window with no point in its inner half raises ValueError.
     """
     pdo = PdoSymbol(a.dim, lambda n, x: a.eval(x, n))
     return _class_report(

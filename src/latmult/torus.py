@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import LatticeSequence, Window, sequence
+from .lattice import LatticeSequence, Window, exact_indices, from_arrays
 
 MAX_NODES = 2**22
 
@@ -68,10 +68,27 @@ class TorusSamples:
         )
 
 
-def alias_free(points, resolution: int) -> bool:
-    """True when no two distinct points are congruent mod `resolution` on every axis."""
-    points = set(points)
-    return len({tuple(c % resolution for c in p) for p in points}) == len(points)
+def alias_free(points, resolution: int, window: Window | None = None) -> bool:
+    """True when no two distinct points of `points` and `window` are congruent mod M.
+
+    Congruent means congruent on every axis; points may lie beyond int64.
+    The window is checked by arithmetic, without listing it: an axis wider
+    than M aliases at once; otherwise a point off the window collides with it
+    exactly when its residues fall in the window's residue box on every axis.
+    """
+    M, pts = resolution, exact_indices(points)
+    if window is not None:
+        if max(window.widths) > M:
+            return False
+        pts = pts.reshape(-1, window.dim)
+        pts = pts[~window.contains(pts)]
+        offset = np.mod(np.mod(pts, M).astype(np.int64) - [l % M for l in window.lo], M)
+        if np.all(offset < window.widths, axis=1).any():
+            return False
+    if len(pts) < 2:
+        return True
+    pts = from_arrays(pts, np.ones(len(pts))).idx  # distinct points, exact
+    return len(np.unique(np.mod(pts, M).astype(np.int64), axis=0)) == len(pts)
 
 
 def dft(f: LatticeSequence, grid: TorusGrid) -> TorusSamples:
@@ -109,8 +126,7 @@ def inverse_dft(F: TorusSamples, window: Window) -> LatticeSequence:
     if F.grid.dim != window.dim:
         raise ValueError("dimension mismatch")
     pts = window.indices()
-    vals = from_grid(F.values[None, :], pts[None], F.grid)[0]
-    return sequence(window.dim, zip(map(tuple, pts.tolist()), vals))
+    return from_arrays(pts, from_grid(F.values[None, :], pts[None], F.grid)[0])
 
 
 def lq_torus_norm(F: TorusSamples, q: float) -> float:

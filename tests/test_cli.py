@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -164,6 +165,52 @@ def test_apply_index_beyond_int64_exits_2(tmp_path):
     rc = main(["apply", "--input", path, "--out", str(tmp_path / "o.jsonl"),
                "--window=1:8"])
     assert rc == 2
+
+
+@pytest.mark.parametrize("window, code", [("-16:16", 3), ("100:110", 0)])
+def test_apply_modulation_output_beyond_int64_checks_aliasing_exactly(tmp_path, window, code):
+    # 2^63 - 5 + 10 leaves int64; it is 5 mod 64, inside -16:16 but not 100:110
+    path = str(tmp_path / "d.jsonl")
+    save_jsonl(sequence(1, {(2**63 - 5,): 1.0}), path)
+    argv = ["apply", "--input", path, "--out", str(tmp_path / "o.jsonl"),
+            "--symbol", "modulation", "--shift", "10", f"--window={window}"]
+    assert main(argv) == code
+
+
+def _traced_exit(argv) -> tuple[int, int]:
+    tracemalloc.start()
+    try:
+        rc = main(argv)
+        return rc, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_apply_fractional_over_size_budget_exits_2(tmp_path, capsys):
+    # 10^9 shifts of a delta: refused before the kernel or the shifts exist
+    path = str(tmp_path / "d.jsonl")
+    save_jsonl(sequence(1, {(0,): 1.0}), path)
+    rc, peak = _traced_exit(["apply", "--input", path, "--out", str(tmp_path / "o.jsonl"),
+                             "--symbol", "fractional", "--k", "1", "--window=1:1000000000"])
+    assert rc == 2 and peak < 8 * 2**20
+    assert "size budget" in capsys.readouterr().err
+
+
+def test_apply_huge_window_aliases_without_listing_it(tmp_path, capsys):
+    path = str(tmp_path / "d.jsonl")
+    save_jsonl(sequence(1, {(0,): 1.0}), path)
+    rc, peak = _traced_exit(["apply", "--input", path, "--out", str(tmp_path / "o.jsonl"),
+                             "--symbol", "identity", "--window=0:1000000000"])
+    assert rc == 3 and peak < 8 * 2**20
+    assert "aliasing" in capsys.readouterr().err
+
+
+def test_kernel_beyond_int64_writes_exact_indices(tmp_path, capsys):
+    out = str(tmp_path / "k5.jsonl")
+    assert main(["kernel", "--k", "5", "--max-m", "10000", "--out", out]) == 0
+    assert json.loads(capsys.readouterr().out)["norms"]["support"] == 10000
+    kern = load_jsonl(out)
+    assert kern.support()[-1] == (10**20,) and kern[10**20] == pytest.approx(1e-2)
 
 
 def test_apply_unwritable_output_exits_4(seq_file, tmp_path):

@@ -1,0 +1,362 @@
+"""The sorted-array LatticeSequence against the former dict implementation.
+
+The oracle below is the earlier code, kept here only: a sequence is a dict
+{point tuple: complex}, built by a running sum that drops exact zeros;
+convolve is the double loop over both dicts; apply_fractional walks each
+support point's shifts in Python ints; the norms read |f| in sorted support
+order.  Supports must agree exactly and entries within 1e-12 of the l^1 mass
+(exactly where the arithmetic is the same).
+"""
+
+import itertools
+import json
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from latmult.fractional import FractionalParams, _coefficients, _iroot, apply_fractional
+from latmult.lattice import (
+    MAX_ELEMENTS,
+    Window,
+    add,
+    box,
+    convolve,
+    delta,
+    restrict,
+    save_jsonl,
+    scale,
+    sequence,
+    translate,
+)
+from latmult.norms import equivalent_seminorm, lp_norm, weak_norm
+from latmult.torus import alias_free
+
+I64 = 2**63
+
+
+# --- the dict oracle ---------------------------------------------------------
+
+def dict_sequence(pairs) -> dict:
+    pruned = {}
+    for point, value in pairs:
+        idx = (int(point),) if isinstance(point, int) else tuple(int(c) for c in point)
+        v = complex(value)
+        if v != 0:
+            pruned[idx] = pruned.get(idx, 0j) + v
+            if pruned[idx] == 0:
+                del pruned[idx]
+    return pruned
+
+
+def dict_convolve(f: dict, g: dict) -> dict:
+    out = {}
+    for i, fv in f.items():
+        for j, gv in g.items():
+            k = tuple(x + y for x, y in zip(i, j))
+            out[k] = out.get(k, 0j) + fv * gv
+    return dict_sequence(out.items())
+
+
+def dict_apply_fractional(params, f: dict, lo: int, hi: int) -> dict:
+    k = params.power
+    entries = {}
+    for (s,), v in f.items():
+        first = 1 if lo - s <= 1 else _iroot(lo - s - 1, k) + 1
+        last = _iroot(hi - s, k)
+        if first > last:
+            continue
+        w = v * _coefficients(params, np.arange(first, last + 1, dtype=np.float64))
+        for m, c in zip(range(first, last + 1), w.tolist()):
+            n = (s + m**k,)
+            entries[n] = entries.get(n, 0j) + c
+    return dict_sequence(entries.items())
+
+
+def dict_magnitudes(f: dict) -> np.ndarray:
+    return np.array([abs(f[i]) for i in sorted(f)])
+
+
+def dict_jsonl(f: dict, dim: int) -> str:
+    lines = [json.dumps({"dim": dim})]
+    for idx in sorted(f):
+        v = f[idx]
+        lines.append(json.dumps({"index": list(idx), "re": v.real, "im": v.imag}))
+    return "\n".join(lines) + "\n"
+
+
+def assert_matches(got, want: dict, mass: float, exact: bool = False):
+    assert got.support() == sorted(want)
+    tol = 0.0 if exact else 1e-12 * mass
+    for p, v in got.items():
+        assert abs(v - want[p]) <= tol, (p, v, want[p])
+
+
+# --- strategies --------------------------------------------------------------
+
+# small coordinates collide; the others sit on and beyond the int64 edges
+coords = st.one_of(
+    st.integers(-4, 4),
+    st.integers(I64 - 3, I64 + 2),
+    st.integers(-I64 - 2, -I64 + 2),
+    st.integers(-(2**70), 2**70),
+)
+# dyadic values: every product and sum below is exact in any order
+dyadic = st.builds(
+    complex, st.integers(-8, 8).map(lambda x: x / 4), st.integers(-8, 8).map(lambda x: x / 4)
+)
+
+
+@st.composite
+def pair_lists(draw, dim, coord=coords, values=dyadic, max_size=10):
+    points = st.tuples(*[coord] * dim)
+    return draw(st.lists(st.tuples(points, values), max_size=max_size))
+
+
+# --- construction, support, lookup, JSONL ------------------------------------
+
+@settings(max_examples=150)
+@given(st.integers(1, 2).flatmap(lambda d: st.tuples(st.just(d), pair_lists(d))))
+def test_sequence_matches_dict_oracle(case):
+    dim, pairs = case
+    f, want = sequence(dim, pairs), dict_sequence(pairs)
+    assert_matches(f, want, 0.0, exact=True)
+    assert len(f) == len(want) and dict(f.entries) == want
+    fits = all(-I64 <= c < I64 for p in want for c in p)
+    assert (f.idx.dtype == np.int64) == fits
+    for p in list(want) + [(0,) * dim, (2**80,) * dim]:
+        assert f[p] == want.get(p, 0j)
+    assert f == sequence(dim, list(want.items()))
+
+
+@settings(max_examples=100)
+@given(st.integers(1, 2).flatmap(lambda d: st.tuples(st.just(d), pair_lists(d))))
+def test_save_jsonl_bytes_match_dict_oracle(tmp_path_factory, case):
+    dim, pairs = case
+    path = tmp_path_factory.mktemp("jsonl") / "f.jsonl"
+    save_jsonl(sequence(dim, pairs), path)
+    assert path.read_text() == dict_jsonl(dict_sequence(pairs), dim)
+
+
+def test_cancelling_repeats_prune_and_sum_in_input_order():
+    f = sequence(1, [(0, 1.0), (3, 1.0), (0, -1.0), (3, 1e-16), (3, -1.0)])
+    # in input order 1 + 1e-16 rounds to 1 and the running sum ends at exactly
+    # 0; in reverse, -1 + 1e-16 does not round to -1
+    assert f.support() == [] and f == sequence(1, [])
+    many = [(j, v) for v in (1.0, 1e-16, -1.0) for j in range(100)]
+    assert len(sequence(1, many)) == 0 and len(sequence(2, [((j, -j), v) for j, v in many])) == 0
+    g = sequence(1, [(0, -0.0j), (1, complex(1.0, -0.0))])
+    assert g.support() == [(1,)] and str(g[1]) == "(1+0j)"
+
+
+def test_entries_view_is_a_read_only_mapping():
+    f = sequence(2, {(1, 2): 3j, (0, 5): 1.0})
+    assert list(f.entries) == [(0, 5), (1, 2)]
+    assert f.entries[(1, 2)] == 3j and (0, 0) not in f.entries and len(f.entries) == 2
+    assert list(f.entries.items()) == [((0, 5), 1.0), ((1, 2), 3j)]
+    assert list(f.entries.values()) == [1.0, 3j]
+    with pytest.raises(KeyError):
+        f.entries[(0, 0)]
+    with pytest.raises(ValueError):
+        f.val[0] = 2.0
+
+
+# --- operations --------------------------------------------------------------
+
+@settings(max_examples=150)
+@given(
+    st.integers(1, 2).flatmap(
+        lambda d: st.tuples(st.just(d), pair_lists(d, max_size=8), pair_lists(d, max_size=8))
+    )
+)
+def test_convolve_add_translate_scale_match_dict_oracle(case):
+    dim, pf, pg = case
+    f, g = sequence(dim, pf), sequence(dim, pg)
+    df, dg = dict_sequence(pf), dict_sequence(pg)
+    assert_matches(convolve(f, g), dict_convolve(df, dg), 0.0, exact=True)
+    assert_matches(add(f, g), dict_sequence(itertools.chain(df.items(), dg.items())),
+                   0.0, exact=True)
+    assert_matches(scale(f, 0.5 - 0.25j), dict_sequence((i, (0.5 - 0.25j) * v)
+                                                       for i, v in df.items()), 0.0, exact=True)
+    shift = (I64 - 2,) * dim
+    moved = {tuple(a + b for a, b in zip(i, shift)): v for i, v in df.items()}
+    assert_matches(translate(f, shift), moved, 0.0, exact=True)
+
+
+@settings(max_examples=100)
+@given(
+    st.integers(1, 2),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 40),
+    st.integers(1, 40),
+    st.sampled_from([1, 3, 1000, 10**6]),
+)
+def test_convolve_random_values_match_dict_oracle(dim, seed, nf, ng, spread):
+    # dense boxes take the box path, spread ones the pair path
+    rng = np.random.default_rng(seed)
+
+    def rand(n):
+        pts = rng.integers(-spread, spread + 1, size=(n, dim))
+        vals = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        return [(tuple(p), complex(v)) for p, v in zip(pts.tolist(), vals)]
+
+    pf, pg = rand(nf), rand(ng)
+    df, dg = dict_sequence(pf), dict_sequence(pg)
+    mass = sum(map(abs, df.values())) * sum(map(abs, dg.values()))
+    assert_matches(convolve(sequence(dim, pf), sequence(dim, pg)), dict_convolve(df, dg), mass)
+
+
+def test_convolve_box_path_beyond_int64_is_exact():
+    # dense enough for the box path, but the sums pass 2^63 - 1
+    f = sequence(1, [(I64 - 100 + i, 1.0) for i in range(100)])
+    g = sequence(1, [(i, 1.0 + i) for i in range(100)])
+    want = dict_convolve(dict(f.items()), dict(g.items()))
+    assert_matches(convolve(f, g), want, 0.0, exact=True)
+    assert convolve(f, g).idx.dtype == object
+
+
+def test_convolve_dense_box_matches_pairs():
+    rng = np.random.default_rng(3)
+    f = sequence(1, enumerate(rng.standard_normal(300) + 1j * rng.standard_normal(300)))
+    g = sequence(1, enumerate(rng.standard_normal(200)))
+    want = dict_convolve(dict(f.items()), dict(g.items()))
+    mass = lp_norm(f, 1) * lp_norm(g, 1)
+    assert_matches(convolve(f, g), want, mass)
+    assert_matches(convolve(g, f), want, mass)
+
+
+@settings(max_examples=150)
+@given(
+    st.integers(1, 3),
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 12),
+    st.integers(-60, 60),
+    st.sampled_from([0, 1, 30, 400, 10**4, 10**6]),
+)
+def test_apply_fractional_matches_dict_oracle(k, seed, count, lo, width):
+    if k == 1:
+        width = min(width, 10**4)  # keeps the oracle's Python loop short
+    rng = np.random.default_rng(seed)
+    params = FractionalParams(k, float(rng.uniform(0.1, 1.0)), float(rng.uniform(0, 2)))
+    pts = rng.choice(np.arange(-50, 51), size=count, replace=False)
+    vals = rng.standard_normal(count) + 1j * rng.standard_normal(count)
+    pairs = [((int(p),), complex(v)) for p, v in zip(pts, vals)]
+    want = dict_apply_fractional(params, dict_sequence(pairs), lo, lo + width)
+    got = apply_fractional(params, sequence(1, pairs), box(lo, lo + width))
+    assert_matches(got, want, sum(map(abs, want.values())))
+
+
+def test_apply_fractional_at_the_int64_edges():
+    params = FractionalParams(1, 0.5, 0.2)
+    for s, lo, hi in ((-I64 + 5, I64 - 10, I64 - 1), (I64 - 3, -I64, I64 - 1),
+                      (-I64, -I64 + 1, -I64 + 40)):
+        f = sequence(1, {s: 1 - 2j})
+        want = dict_apply_fractional(params, dict(f.items()), lo, hi)
+        assert_matches(apply_fractional(params, f, box(lo, hi)), want, 1.0)
+    with pytest.raises(ValueError, match="int64"):
+        apply_fractional(params, delta(I64), box(0, 5))
+    with pytest.raises(ValueError, match="int64"):
+        apply_fractional(params, delta(0), box(0, I64))
+
+
+finite = st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=150)
+@given(
+    st.integers(1, 2).flatmap(
+        lambda d: st.tuples(st.just(d), pair_lists(d, values=finite))
+    ),
+    st.floats(1.0, 6.0),
+)
+def test_norms_match_dict_oracle_bit_for_bit(case, p):
+    dim, pairs = case
+    f, mags = sequence(dim, pairs), dict_magnitudes(dict_sequence(pairs))
+    assert np.array_equal(f.magnitudes(), mags)
+    if len(mags) == 0:
+        return
+    j = np.arange(1, len(mags) + 1, dtype=np.float64)
+    desc = np.sort(mags)[::-1]
+    assert lp_norm(f, p) == float(np.sum(mags**p) ** (1.0 / p))
+    assert weak_norm(f, p) == float(np.max(j ** (1.0 / p) * desc))
+    r = p / 2.0
+    want = np.max(j ** (1.0 / p - 1.0 / r) * np.cumsum(desc**r) ** (1.0 / r))
+    assert equivalent_seminorm(f, p) == float(want)
+
+
+def test_restrict_matches_dict_oracle():
+    f = sequence(1, {-I64 - 1: 1.0, 0: 2.0, 5: 3.0, I64: 4.0})
+    assert f.idx.dtype == object
+    g = restrict(f, box(0, I64 - 1))
+    assert g.idx.dtype == np.int64 and dict(g.entries) == {(0,): 2.0, (5,): 3.0}
+    assert restrict(f, box(-(2**70), 2**70)) == f
+
+
+# --- the size budget ---------------------------------------------------------
+
+def _peak(call) -> int:
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="size budget"):
+            call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_size_budget_is_checked_before_allocating():
+    side = 8193  # side^2 pairs just exceed 2^26
+    assert side * side > MAX_ELEMENTS >= (side - 1) ** 2
+    spread = sequence(1, [(i * 10**6, 1.0) for i in range(side)])
+    calls = [
+        lambda: convolve(spread, spread),
+        # k=1 convolves with a 10^9-term kernel, k=2 scatters 2^31 shifts
+        lambda: apply_fractional(FractionalParams(1, 0.5), delta(0), box(1, 10**9)),
+        lambda: apply_fractional(FractionalParams(2, 0.5), delta(0), box(0, 2**62)),
+        lambda: Window(2, (0, 0), (2**13, 2**13)).indices(),
+        lambda: Window(1, (0,), (10**12,)).points(),
+    ]
+    for call in calls:
+        assert _peak(call) < 8 * 2**20
+
+
+# --- the alias check by arithmetic -------------------------------------------
+
+def set_alias_free(points, M) -> bool:
+    points = set(points)
+    return len({tuple(c % M for c in p) for p in points}) == len(points)
+
+
+@settings(max_examples=300)
+@given(
+    st.integers(1, 2).flatmap(
+        lambda d: st.tuples(
+            st.lists(st.tuples(*[st.integers(-20, 20)] * d), max_size=6),
+            st.tuples(*[st.integers(-12, 12)] * d),
+            st.tuples(*[st.integers(1, 9)] * d),
+        )
+    ),
+    st.integers(2, 8),
+)
+def test_alias_free_window_matches_listing_it(case, M):
+    points, lo, widths = case
+    window = Window(len(lo), lo, tuple(l + w - 1 for l, w in zip(lo, widths)))
+    want = set_alias_free(list(points) + window.points(), M)
+    dim = window.dim
+    assert alias_free(np.array(points, dtype=np.int64).reshape(-1, dim), M, window) == want
+    assert alias_free(points + window.points(), M) == want
+
+
+def test_alias_check_of_a_huge_window_lists_nothing():
+    far = Window(1, (I64 + 10,), (I64 + 12,))
+    assert alias_free(np.array([[0]]), 64, far)
+    assert not alias_free(np.array([[(I64 + 10) % 64]]), 64, far)
+    tracemalloc.start()
+    try:
+        assert not alias_free(np.array([[0]]), 64, box(0, 10**9))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20

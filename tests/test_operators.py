@@ -25,7 +25,6 @@ from latmult.operators import (
     MultiplierSymbol,
     OperatorMatrix,
     PdoSymbol,
-    apply_by_kernel,
     apply_matrix,
     apply_multiplier,
     apply_pdo,
@@ -76,20 +75,18 @@ def test_multiplier_matches_kernel_side_oracle():
     assert seq_close(out, convolve(k, f), WINDOW, 1e-11)
 
 
-def test_apply_by_kernel_is_convolution():
+def test_kernel_side_convolution():
     rng = np.random.default_rng(44)
     k = random_seq(rng)
-    assert apply_by_kernel(k, delta(0)) == k
-    f = random_seq(rng)
-    assert apply_by_kernel(k, f) == convolve(k, f)
+    assert convolve(k, delta(0)) == k
 
 
-def test_apply_by_kernel_matches_frequency_side():
+def test_kernel_side_convolution_matches_frequency_side():
     rng = np.random.default_rng(45)
     k = random_seq(rng, span=2)
     f = random_seq(rng, span=3)
     freq = apply_multiplier(kernel_multiplier(k), f, GRID, WINDOW)
-    assert seq_close(freq, apply_by_kernel(k, f), WINDOW, 1e-11)
+    assert seq_close(freq, convolve(k, f), WINDOW, 1e-11)
 
 
 def test_pdo_reduces_to_multiplier():

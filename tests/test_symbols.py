@@ -265,3 +265,15 @@ def test_singular_tail_count_guard():
     for count in (3, -1):
         with pytest.raises(ValueError):
             singular_tail(A, count)
+
+
+def test_class_check_rejects_probe_window_with_empty_inner_half():
+    # |xi|_inf <= 10 // 2 holds at no point of [6, 10]; the constant symbol
+    # used to come out "unbounded", every row flagged as growing
+    window, grid = Window(1, (6,), (10,)), TorusGrid(1, 8)
+    with pytest.raises(ValueError, match="inner half"):
+        cv_check(PdoSymbol(1, lambda n, xi: 1.0), 0.0, 1, 1, window, grid)
+    with pytest.raises(ValueError, match="inner half"):
+        class_check(ToroidalSymbol(1, lambda x, xi: 1.0), 0.0, 0.0, 0.0, 1, 1, window, grid)
+    report = cv_check(PdoSymbol(1, lambda n, xi: 1.0), 0.0, 1, 1, Window(1, (5,), (10,)), grid)
+    assert report.verdict == "bounded"
