@@ -12,9 +12,9 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import sys
 from dataclasses import asdict
-from functools import lru_cache
 
 import numpy as np
 
@@ -34,6 +34,7 @@ from .lattice import (
     Window,
     box,
     centered_window,
+    check_budget,
     load_jsonl,
     save_jsonl,
     sum_points,
@@ -190,17 +191,14 @@ def cmd_opnorm(args) -> int:
         return 3
     weak = opnorm_l1_weakp(m, args.p, grid, window)
     strong = opnorm_l1_lp(m, args.p, grid, window)
-    print(
-        json.dumps(
-            {
-                "p": _fmt(args.p),
-                "l1_to_weak_lp": _fmt(weak.value),
-                "l1_to_lp": _fmt(strong.value),
-                "certified": weak.certified and strong.certified,
-                "discarded_mass": _fmt(weak.discarded_mass),
-            }
-        )
-    )
+    result = {
+        "p": _fmt(args.p),
+        "l1_to_weak_lp": _fmt(weak.value),
+        "l1_to_lp": _fmt(strong.value),
+        "certified": weak.certified and strong.certified,
+        "discarded_mass": _fmt(weak.discarded_mass),
+    }
+    print(json.dumps(result))
     return 0
 
 
@@ -234,26 +232,22 @@ def _parse_range(spec: str) -> list[float]:
     """Either a comma list '0.2,0.5' or 'start:stop:count'."""
     if ":" in spec:
         a, b, n = spec.split(":")
+        check_budget(int(n), "range values")
         return [float(x) for x in np.linspace(float(a), float(b), int(n))]
     return [float(x) for x in spec.split(",")]
 
 
-@lru_cache(maxsize=256)
-def _zeta_cached(s: float) -> float:
-    return zeta(s)
-
-
 def _scan_cell(k: int, lam: float, gamma: float, p: float, q: float, terms: int) -> str:
-    """One CSV row of the scan: the truncated-kernel norms and the verdicts."""
+    """One CSV row of the scan: the kernel norms and the verdicts.
+
+    The weak norm is the truncated kernel's (rearrangement j^{-lam}); the
+    strong norm is the full kernel's when finite, else the truncated one's.
+    """
     params = FractionalParams(k, lam, gamma)
     verdict = classify_weak_and_strong(params, p)
-    # truncated-kernel norms in closed form (rearrangement j^{-lam})
     wk = max(1.0, terms ** (1.0 / p - lam))
-    if lam * p > 1:
-        st = _zeta_cached(lam * p) ** (1.0 / p)
-    else:
-        m = np.arange(1, terms + 1, dtype=np.float64)
-        st = float(np.sum(m ** (-lam * p)) ** (1.0 / p))
+    sn = strong_norm_closed_form(params, p)
+    st = zeta(lam * p, terms) ** (1.0 / p) if sn.divergent else sn.value
     if 1.0 <= q < p and 0 < lam < 1:
         predicted = classify_conjecture1(p, q, lam, k)
     else:
@@ -284,9 +278,14 @@ def cmd_scan(args) -> int:
         for key in ("k_list", "lam_range", "p_range"):  # flags win over config values
             if getattr(args, key) is None and key in cfg:
                 setattr(args, key, cfg[key])
+    if not 1 <= args.terms <= sys.float_info.max:
+        raise ValueError(f"terms must be >= 1 and at most the largest float, got {args.terms}")
+    if math.isnan(args.q):
+        raise ValueError("q must not be nan")
     ks = [int(x) for x in (args.k_list or "1,2,3").split(",")]
     lams = _parse_range(args.lam_range or "0.2:0.9:8")
     ps = _parse_range(args.p_range or "1.5:3:4")
+    check_budget(len(ks) * len(lams) * len(ps), "scan cells")
     cells = list(itertools.product(ks, lams, ps))[max(args.start_cell, 0):]
     lines = [
         "k,lambda,gamma,p,q,M,weak_norm,strong_norm,weak_flag,strong_flag,predicted_bounded"
@@ -307,10 +306,8 @@ def cmd_kstar(args) -> int:
 
 def cmd_gohberg(args) -> int:
     grid = TorusGrid(1, args.grid_res)
-    report = gohberg_decay(
-        _pdo_builtin(args.symbol), grid, list(range(args.max_radius + 1)),
-        tolerance=args.tolerance,
-    )
+    radii = range(args.max_radius + 1)
+    report = gohberg_decay(_pdo_builtin(args.symbol), grid, radii, tolerance=args.tolerance)
     lines = ["radius,decay"]
     for r, v in zip(report.radii, report.values):
         lines.append(f"{r},{_fmt(v)}")

@@ -10,6 +10,7 @@ through an explicit flag, never as a floating-point infinity.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,8 @@ class FractionalParams:
             raise ValueError(f"power must be >= 1, got {self.power}")
         if not 0 < self.decay <= 1:
             raise ValueError(f"decay must lie in (0, 1], got {self.decay}")
+        if not math.isfinite(self.oscillation):
+            raise ValueError(f"oscillation must be finite, got {self.oscillation}")
 
 
 @dataclass(frozen=True)
@@ -76,10 +79,12 @@ def _zeta_tail(s: float, N: int) -> float:
     """Upper bound N^{1-s}/(s-1) - N^{-s}/2 + s N^{-s-1}/12 on sum_{m > N} m^{-s}.
 
     Euler-Maclaurin through the first-derivative term, for s > 1; the
-    remainder is negative because m^{-s} is completely monotone.
+    remainder is negative because m^{-s} is completely monotone.  With a, b, c
+    the three terms, adding 4 eps (a + b + c) covers the float rounding.
     """
     N = float(N)
-    return N ** (1 - s) / (s - 1) - N**-s / 2.0 + s * N ** (-s - 1) / 12.0
+    a, b, c = N ** (1 - s) / (s - 1), N**-s / 2.0, s * N ** (-s - 1) / 12.0
+    return a - b + c + 4 * sys.float_info.epsilon * (a + b + c)
 
 
 def _kernel(params: FractionalParams, first: int, last: int) -> LatticeSequence:
@@ -137,39 +142,66 @@ def apply_fractional(
 
 
 def weak_norm_closed_form(params: FractionalParams, p: float) -> NormResult:
-    """Weak-l^{p,inf} norm of the full kernel: 1 when decay >= 1/p, else divergent.
+    """Weak-l^{p,inf} norm of the full kernel: 1 when weak type (1,p), else divergent.
 
     The alpha-supremum collapses to sup_{m>=1} m^{1/p - decay} because the
     rearranged kernel magnitudes are exactly j^{-decay}.
     """
-    if p <= 1:
-        raise ValueError(f"p must be > 1, got {p}")
-    if params.decay >= 1.0 / p:
+    if classify_weak_and_strong(params, p).weak_1p:
         return NormResult(divergent=False, value=1.0)
     return NormResult(divergent=True)
 
 
-def zeta(s: float, terms: int = 10**6) -> float:
-    """Riemann zeta for s > 1 by partial sum plus Euler-Maclaurin tail.
+# B_2j / (2j)! for j = 1..7: the Euler-Maclaurin coefficients that zeta uses.
+_EM_COEFFS = (0.08333333333333333, -0.001388888888888889, 3.306878306878307e-05,
+              -8.267195767195768e-07, 2.08767569878681e-08, -5.284190138687493e-10,
+              1.3382536530684679e-11)
 
-    Tail = _zeta_tail(s, N) - s(s+1)(s+2) N^{-s-3}/720; the first omitted
-    term is O(s^5 N^{-s-5}), far below 1e-10 for s >= 1.1 and N = 10^6.
+
+def _em_derivatives(s: float, x: float) -> float:
+    """-sum_j B_2j/(2j)! f^(2j-1)(x) for f(m) = m^{-s}, j = 1..7."""
+    total, term = 0.0, x**-s * s / x
+    for j, b in enumerate(_EM_COEFFS):
+        total += b * term
+        term *= (s + 2 * j + 1) * (s + 2 * j + 2) / (x * x)
+    return total
+
+
+def zeta(s: float, terms: float = math.inf) -> float:
+    """sum_{1 <= m <= terms} m^{-s}; the Riemann zeta function for infinite terms.
+
+    m < 32 are summed directly, the rest by Euler-Maclaurin on [32, terms]:
+    the integral, the two end values and B_2 ... B_14 at both ends.  The
+    integral is written with expm1 and log, so s = 1 and s near 1 lose no
+    digits.  Needs s > 1 only when terms is infinite.
     """
-    if s <= 1:
-        raise ValueError(f"zeta partial-sum evaluation needs s > 1, got {s}")
-    n = np.arange(1, terms + 1, dtype=np.float64)
-    N = float(terms)
-    tail = _zeta_tail(s, terms) - s * (s + 1) * (s + 2) * N ** (-s - 3) / 720.0
-    return float(np.sum(n**-s)) + tail
+    if terms == math.inf and not s > 1:
+        raise ValueError(f"zeta needs s > 1, got {s}")
+    N = 32.0
+    head = [m**-s for m in range(1, int(min(terms, N - 1)) + 1)]
+    if terms < N or N**-s == 0.0:  # no tail, or one below the smallest float
+        return math.fsum(head)
+    if terms == math.inf:
+        return math.fsum(head + [N ** (1 - s) / (s - 1), N**-s / 2, _em_derivatives(s, N)])
+    T = float(terms)
+    u = math.log(T / N)
+    x = (1 - s) * u
+    integral = N ** (1 - s) * (math.expm1(x) / (1 - s) if x else u)
+    ends = [(N**-s + T**-s) / 2, _em_derivatives(s, N), -_em_derivatives(s, T)]
+    return math.fsum(head + [integral] + ends)
 
 
 def strong_norm_closed_form(params: FractionalParams, p: float) -> NormResult:
-    """l^p norm of the full kernel: zeta(decay*p)^{1/p} when decay*p > 1."""
-    if p <= 1:
-        raise ValueError(f"p must be > 1, got {p}")
-    s = params.decay * p
-    if s <= 1:
+    """l^p norm of the full kernel: zeta(decay*p)^{1/p} when l^1 -> l^p bounded.
+
+    Raises ValueError in the one-ulp band where decay > 1/p but the float
+    decay*p is not above 1.
+    """
+    if not classify_weak_and_strong(params, p).strong_1p:
         return NormResult(divergent=True)
+    s = params.decay * p
+    if not s > 1:
+        raise ValueError(f"decay > 1/p, but the float decay * p = {s!r} is not above 1")
     return NormResult(divergent=False, value=zeta(s) ** (1.0 / p))
 
 
@@ -180,8 +212,11 @@ class TypeVerdict:
 
 
 def classify_weak_and_strong(params: FractionalParams, p: float) -> TypeVerdict:
-    """Weak type (1,p) iff decay >= 1/p; l^1 -> l^p bounded iff decay > 1/p."""
-    if p <= 1:
+    """Weak type (1,p) iff decay >= 1/p; l^1 -> l^p bounded iff decay > 1/p.
+
+    The one place these thresholds are written; the closed-form norms follow it.
+    """
+    if not p > 1:
         raise ValueError(f"p must be > 1, got {p}")
     return TypeVerdict(
         weak_1p=params.decay >= 1.0 / p, strong_1p=params.decay > 1.0 / p
@@ -200,11 +235,7 @@ def classify_conjecture1(p: float, q: float, lam: float, k: int) -> bool:
         raise ValueError(f"need 0 < lam < 1, got {lam}")
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
-    return (
-        1.0 / p <= 1.0 / q - (1.0 - lam) / k
-        and 1.0 / p < lam
-        and 1.0 / q > 1.0 - lam
-    )
+    return 1.0 / p <= 1.0 / q - (1.0 - lam) / k and 1.0 / p < lam and 1.0 / q > 1.0 - lam
 
 
 @dataclass(frozen=True, eq=False)

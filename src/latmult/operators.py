@@ -132,17 +132,15 @@ def apply_pdo(
     return from_arrays(pts, from_grid(rows, pts[:, None, :], grid)[:, 0])
 
 
-def _section_points(window: Window, cap: int) -> np.ndarray:
-    if window.cardinality > cap:
-        raise ValueError(f"window cardinality {window.cardinality} exceeds cap {cap}")
+def _section_points(window: Window) -> np.ndarray:
+    if window.cardinality > MATRIX_CAP:
+        raise ValueError(f"window cardinality {window.cardinality} exceeds cap {MATRIX_CAP}")
     return window.indices()
 
 
-def pdo_matrix(
-    a: PdoSymbol, window: Window, grid: TorusGrid, cap: int = MATRIX_CAP
-) -> OperatorMatrix:
+def pdo_matrix(a: PdoSymbol, window: Window, grid: TorusGrid) -> OperatorMatrix:
     """Dense finite section: entry (n, n'') = quadrature of e^{2pi i(n-n'').xi} a(n, xi)."""
-    idx = _section_points(window, cap)
+    idx = _section_points(window)
     rows = _symbol_rows(a, idx, grid)
     return OperatorMatrix(window, from_grid(rows, idx[:, None] - idx[None], grid))
 
@@ -211,7 +209,7 @@ def conjugation_residual(
     """
     if a.dim != grid.dim or a.dim != window.dim:
         raise ValueError("dimension mismatch")
-    pts = _section_points(window, MATRIX_CAP)
+    pts = _section_points(window)
     K, n_nodes = len(pts), grid.node_count
     union, where = np.unique(np.concatenate([pts, -pts]), axis=0, return_inverse=True)
     where = where.reshape(-1)

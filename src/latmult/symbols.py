@@ -18,7 +18,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -139,15 +139,8 @@ class ClassReport:
             "probe_window": {"lo": list(self.probe_window.lo),
                              "hi": list(self.probe_window.hi)},
             "resolution": self.resolution,
-            "rows": [
-                {
-                    "alpha": list(r.alpha),
-                    "beta": list(r.beta),
-                    "constant": r.constant,
-                    "weight_exponent": r.weight_exponent,
-                }
-                for r in self.rows
-            ],
+            "rows": [{"alpha": list(r.alpha), "beta": list(r.beta), "constant": r.constant,
+                      "weight_exponent": r.weight_exponent} for r in self.rows],
         }
 
 
@@ -168,10 +161,7 @@ def _weights(points: np.ndarray, style: str) -> np.ndarray:
 
 
 def _orders_up_to(dim: int, total: int) -> list[MultiIndex]:
-    out = []
-    for a in itertools.product(range(total + 1), repeat=dim):
-        if sum(a) <= total:
-            out.append(a)
+    out = [a for a in itertools.product(range(total + 1), repeat=dim) if sum(a) <= total]
     return sorted(out, key=lambda a: (sum(a), a))
 
 
@@ -199,12 +189,8 @@ def _class_report(
     if dim != probe_window.dim or dim != grid.dim:
         raise ValueError("dimension mismatch")
 
-    extended = Window(
-        dim, probe_window.lo, tuple(h + n1 for h in probe_window.hi)
-    )
-    check_budget(
-        extended.cardinality * grid.node_count, "symbol samples", MAX_SYMBOL_SAMPLES
-    )
+    extended = Window(dim, probe_window.lo, tuple(h + n1 for h in probe_window.hi))
+    check_budget(extended.cardinality * grid.node_count, "symbol samples", MAX_SYMBOL_SAMPLES)
     M = grid.resolution
     widths = tuple(h - l + 1 for l, h in zip(probe_window.lo, probe_window.hi))
     points = probe_window.indices().reshape(widths + (dim,))
@@ -228,30 +214,15 @@ def _class_report(
         )
         spec = np.fft.fftn(diff, axes=node_axes)
         for be in _orders_up_to(dim, n2):
-            if sum(be) == 0:
-                vals = diff
-            else:
-                vals = np.fft.ifftn(
-                    spec * _derivative_factor(be, M, dim), axes=node_axes
-                )
+            vals = (diff if sum(be) == 0
+                    else np.fft.ifftn(spec * _derivative_factor(be, M, dim), axes=node_axes))
             expo = order_m - rho * sum(al) + delta * sum(be)
             weighted = np.max(np.abs(vals), axis=node_axes) * w ** (-expo)
             c_full = float(np.max(weighted, initial=0.0))
             c_inner = float(np.max(weighted, where=inner, initial=0.0))
-            growing = (
-                c_full > 1e-9
-                and c_full > c_inner * (1.0 + growth_margin) + 1e-12
-            )
-            rows.append(
-                ClassRow(
-                    alpha=al,
-                    beta=be,
-                    constant=c_full,
-                    weight_exponent=expo,
-                    inner_constant=c_inner,
-                    growing=growing,
-                )
-            )
+            growing = c_full > 1e-9 and c_full > c_inner * (1.0 + growth_margin) + 1e-12
+            rows.append(ClassRow(alpha=al, beta=be, constant=c_full, weight_exponent=expo,
+                                 inner_constant=c_inner, growing=growing))
     bounded = all(not r.growing and r.constant <= tolerance for r in rows)
     return ClassReport(
         rows=rows,
@@ -345,35 +316,34 @@ def _shell_points(dim: int, radius: int) -> np.ndarray:
 def gohberg_decay(
     m_sym: PdoSymbol,
     grid: TorusGrid,
-    radii: list[int],
+    radii: Iterable[int],
     tolerance: float = 0.05,
 ) -> GohbergReport:
     """d(R) = max_{|n'|_inf = R} sup_xi |m(n', xi)| on the probed radii.
 
+    Every shell is sampled in one _symbol_rows call; the shell sizes are
+    counted against the sample budget before a shell is built or a range listed.
     Verdict "consistent" (with compactness) when the second half of d is
     nonincreasing and ends below the tolerance; otherwise "not-compact".
     """
+    radii = radii if isinstance(radii, range) else list(radii)
+    total = 0
+    for r in map(abs, radii):  # (2r+1)^dim - (2r-1)^dim points on the shell |n|_inf = r
+        total += 1 if r == 0 else (2 * r + 1) ** grid.dim - (2 * r - 1) ** grid.dim
+        check_budget(total * grid.node_count, "symbol samples", MAX_SYMBOL_SAMPLES)
     radii = list(radii)
     if radii != sorted(radii):
         raise ValueError("radii must be increasing")
     if not radii or radii[0] < 0:
         raise ValueError(f"radii must be nonempty and >= 0, got {radii[:1]}")
-    values = [
-        float(np.max(np.abs(_symbol_rows(m_sym, _shell_points(grid.dim, r), grid))))
-        for r in radii
-    ]
-    half = len(values) // 2
-    tail = values[half:]
-    nonincreasing = all(
-        b <= a + 1e-12 for a, b in zip(tail, tail[1:])
-    )
-    consistent = nonincreasing and tail[-1] <= tolerance
-    return GohbergReport(
-        radii=radii,
-        values=values,
-        verdict="consistent" if consistent else "not-compact",
-        tolerance=tolerance,
-    )
+    shells = [_shell_points(grid.dim, r) for r in radii]
+    peaks = np.abs(_symbol_rows(m_sym, np.concatenate(shells), grid)).max(axis=1)
+    starts = np.cumsum([0] + [len(shell) for shell in shells[:-1]])
+    values = np.maximum.reduceat(peaks, starts).tolist()
+    tail = values[len(values) // 2:]
+    nonincreasing = all(b <= a + 1e-12 for a, b in zip(tail, tail[1:]))
+    verdict = "consistent" if nonincreasing and tail[-1] <= tolerance else "not-compact"
+    return GohbergReport(radii, values, verdict, tolerance)
 
 
 def singular_tail(A: OperatorMatrix, count: int) -> list[float]:

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import latmult
 from latmult.catalog import oscillating_decay_pdo
 from latmult.cli import main
 from latmult.fractional import FractionalParams, fractional_kernel
@@ -307,6 +312,55 @@ def test_classify_bad_lam_exits_2():
     assert main(["classify", "--k", "1", "--lam", "1.5", "--p", "2"]) == 2
 
 
+# lam > 1/p, but the float lam * p rounds to 1: a finite verdict with no finite zeta
+BAND = ["--k", "2", "--lam", "0.9896585408338686", "--p", "1.0104495224761239"]
+
+
+def test_classify_in_the_one_ulp_band_exits_2(capsys):
+    assert main(["classify", *BAND]) == 2
+    assert "not above 1" in capsys.readouterr().err
+
+
+def test_scan_in_the_one_ulp_band_exits_2(capsys):
+    assert main(["scan", "--k-list", "2", "--lam-range", BAND[3], "--p-range", BAND[5]]) == 2
+    assert "not above 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--p", "nan"],
+    ["kernel", "--gamma", "nan", "--out", os.devnull],
+    ["opnorm", "--gamma", "inf"],
+    ["scan", "--terms", "-5"],
+    ["scan", "--terms", "0"],
+    ["scan", "--q", "nan"],
+])
+def test_non_finite_or_out_of_range_input_exits_2(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
+def test_scan_range_over_size_budget_exits_2(capsys):
+    rc, peak = _traced_exit(["scan", "--lam-range", "0.2:0.9:1000000000"])
+    assert rc == 2 and peak < 8 * 2**20
+    assert "size budget" in capsys.readouterr().err
+
+
+def test_scan_needs_no_budget_for_terms(tmp_path):
+    # one cell divergent (truncated sum of 10^9 terms), one finite (full zeta)
+    out = str(tmp_path / "scan.csv")
+    rc, peak = _traced_exit(["scan", "--k-list", "1", "--lam-range", "0.3", "--p-range",
+                             "2,4", "--terms", "1000000000", "--out", out])
+    assert rc == 0 and peak < 8 * 2**20
+    rows = [line.split(",") for line in open(out).read().splitlines()[1:]]
+    assert [r[8:10] for r in rows] == [["divergent"] * 2, ["finite"] * 2]
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        want = [(mpmath.zeta(0.6) - mpmath.zeta(0.6, 10**9 + 1)) ** 0.5,
+                mpmath.zeta(1.2) ** 0.25]
+    assert [float(r[7]) for r in rows] == pytest.approx([float(w) for w in want], rel=1e-14)
+
+
 def test_scan_row_count_and_determinism(tmp_path):
     out1, out2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
     args = [
@@ -410,6 +464,12 @@ def test_gohberg_unknown_symbol_exits_2():
     assert main(["gohberg", "--symbol", "nope"]) == 2
 
 
+def test_gohberg_over_sample_budget_exits_2_before_listing_radii(capsys):
+    rc, peak = _traced_exit(["gohberg", "--max-radius", "1000000000"])
+    assert rc == 2 and peak < 8 * 2**20
+    assert "symbol samples" in capsys.readouterr().err
+
+
 def test_gohberg_without_radii_exits_2(capsys):
     # used to print "# verdict=consistent" for the non-compact symbol
     assert main(["gohberg", "--symbol", "one", "--max-radius", "-1"]) == 2
@@ -471,3 +531,13 @@ def test_verify_json_and_fault_injection(capsys):
     assert flags[1] is False
     assert all(flags[c] for c in range(2, 12))
     assert all(isinstance(r["elapsed"], float) and r["elapsed"] >= 0 for r in res)
+
+
+def test_import_loads_no_test_only_packages():
+    code = ("import sys, latmult; "
+            "print(sorted({'mpmath', 'hypothesis'} & set(sys.modules)))")
+    src = str(Path(latmult.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

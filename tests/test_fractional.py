@@ -1,11 +1,14 @@
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
 
+from latmult.cli import main
 from latmult.fractional import (
     FractionalParams,
+    _zeta_tail,
     apply_fractional,
     classify_conjecture1,
     classify_weak_and_strong,
@@ -108,6 +111,48 @@ def test_zeta_against_mpmath():
 def test_zeta_rejects_s_at_most_one():
     with pytest.raises(ValueError):
         zeta(1.0)
+
+
+def test_zeta_closed_form_matches_mpmath_to_1e14():
+    s_grid = np.concatenate([1 + np.logspace(-6, 0, 40), np.linspace(2.0, 60.0, 30)])
+    for s in map(float, s_grid):
+        with mpmath.workdps(30):
+            want = mpmath.zeta(s)
+            assert abs(zeta(s) - want) <= 1e-14 * want, s
+
+
+@pytest.mark.parametrize("terms", [1, 31, 32, 33, 500, 10**6, 10**9, 10**12])
+def test_zeta_partial_sums_match_mpmath(terms):
+    for s in [1e-3, 0.05, 0.3, 0.5, 0.77, 1 - 1e-9, 1.0, 1.5, 3.0]:
+        with mpmath.workdps(40):  # zeta(s) - zeta(s, terms + 1) cancels near s = 1
+            if s == 1.0:
+                want = mpmath.harmonic(terms)
+            else:
+                want = mpmath.zeta(s) - mpmath.zeta(s, terms + 1)
+            assert abs(zeta(s, terms) - want) <= 1e-13 * want, s
+
+
+def test_zeta_tail_is_an_upper_bound():
+    # the symbol_partial_sum L^2 certificate relies on it, after float rounding too
+    for s in map(float, np.linspace(1.0, 3.0, 21)[1:].tolist() + [1 + 1e-6]):
+        for N in (1, 2, 7, 31, 100, 10**4, 10**6, 10**9, 10**12):
+            with mpmath.workdps(40):
+                assert mpmath.mpf(_zeta_tail(s, N)) >= mpmath.zeta(s, N + 1), (s, N)
+
+
+def _classify(capsys, *argv):
+    assert main(["classify", *argv]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_classify_strong_norm_at_huge_and_infinite_p(capsys):
+    # zeta(5e299) is 1: its tail terms must not form inf * 0 = nan
+    assert _classify(capsys, "--p", "1e300", "--lam", "0.5")["strong_norm"] == "1"
+    assert _classify(capsys, "--p", "inf", "--lam", "0.5") == {
+        "k": 2, "lambda": "0.5", "gamma": "0", "p": "inf", "weak_1p": True,
+        "strong_1p": True, "weak_norm": "1", "weak_norm_divergent": False,
+        "strong_norm": "1", "strong_norm_divergent": False,
+    }
 
 
 def test_strong_norm_closed_form():

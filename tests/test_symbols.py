@@ -223,6 +223,14 @@ def test_gohberg_constant_symbol_not_compact():
     assert report.verdict == "not-compact"
 
 
+def test_gohberg_takes_a_list_a_range_or_a_generator_of_radii():
+    grid = TorusGrid(1, 8)
+    want = gohberg_decay(inverse_distance_pdo(), grid, [0, 1, 2, 3])
+    for radii in (range(4), (r for r in range(4))):
+        got = gohberg_decay(inverse_distance_pdo(), grid, radii)
+        assert (got.radii, got.values) == (want.radii, want.values)
+
+
 def test_gohberg_rejects_unsorted_radii():
     with pytest.raises(ValueError):
         gohberg_decay(PdoSymbol(1, lambda n, xi: 1.0), TorusGrid(1, 4), [2, 1])
