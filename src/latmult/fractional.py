@@ -24,7 +24,7 @@ from .lattice import (
     restrict,
     sequence,
 )
-from .torus import TorusGrid, TorusSamples, dft, lq_torus_norm
+from .torus import MAX_NODES, TorusGrid, TorusSamples, dft, lq_torus_norm
 
 
 @dataclass(frozen=True)
@@ -271,20 +271,42 @@ def symbol_partial_sum(
     return SymbolPartialSum(TorusSamples(grid, vals), terms, tail)
 
 
+def kstar_resolution(k: int, terms: int) -> int:
+    """k(terms^k - 1) + 1: the fewest nodes on which the probe's Riemann sum is exact.
+
+    |S|^{2k} = |S^k|^2 and S^k has frequencies k ... k terms^k, so the sum
+    over M nodes equals the integral exactly when no nonzero frequency
+    difference, at most k(terms^k - 1), is a multiple of M.  Raises
+    ValueError for k < 1, terms < 1, or a grid over torus.MAX_NODES; the last
+    is decided from bit lengths before terms^k is formed.
+    """
+    if k < 1 or terms < 1:
+        raise ValueError(f"k and terms must be >= 1, got k={k}, terms={terms}")
+    # terms^k >= 2^{k (bits - 1)}, so past this bound the grid is too large
+    if k * (terms.bit_length() - 1) > MAX_NODES.bit_length():
+        raise ValueError(f"k={k}, terms={terms} needs over {MAX_NODES} grid nodes")
+    nodes = k * (terms**k - 1) + 1
+    if nodes > MAX_NODES:
+        raise ValueError(f"k={k}, terms={terms} needs {nodes} grid nodes, cap is {MAX_NODES}")
+    return nodes
+
+
 def kstar_norm_probe(
     k: int, lam: float, terms: int, grid: TorusGrid
 ) -> float:
     """L^{2k}(T) norm of the truncated symbol, the Hypothesis-K* diagnostic.
 
     Purely a probe: no convergence in `terms` is asserted anywhere.  The grid
-    must resolve the top frequency terms^k.
+    needs at least kstar_resolution(k, terms) = k(terms^k - 1) + 1 nodes, where
+    the Riemann sum of |S|^{2k} is the integral exactly.
     """
     if not 0.5 < lam < 1:
         raise ValueError(f"lam must lie in (1/2, 1), got {lam}")
-    if grid.resolution < 2 * terms**k:
+    need = kstar_resolution(k, terms)
+    if grid.resolution < need:
         raise ValueError(
-            f"resolution {grid.resolution} too small for top frequency "
-            f"{terms ** k}; need at least {2 * terms ** k}"
+            f"resolution {grid.resolution} too small for k={k}, terms={terms}; "
+            f"need at least {need}"
         )
     ps = symbol_partial_sum(FractionalParams(k, lam), terms, grid)
     return lq_torus_norm(ps.samples, 2.0 * k)

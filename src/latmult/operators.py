@@ -24,7 +24,7 @@ import numpy as np
 
 from .lattice import LatticeSequence, Window, check_budget, from_arrays
 from .norms import lp_norm, weak_norm
-from .torus import TorusGrid, TorusSamples, dft, from_grid, inverse_dft, sample_function
+from .torus import TorusGrid, TorusSamples, dft, from_grid, inverse_dft, sample_function, to_grid
 
 MATRIX_CAP = 4096
 # Largest (lattice points) x (grid nodes) array of pdo symbol samples, 64 MiB.
@@ -145,12 +145,6 @@ def pdo_matrix(a: PdoSymbol, window: Window, grid: TorusGrid) -> OperatorMatrix:
     return OperatorMatrix(window, from_grid(rows, idx[:, None] - idx[None], grid))
 
 
-def apply_matrix(A: OperatorMatrix, f: LatticeSequence) -> LatticeSequence:
-    pts = A.window.indices()
-    vec = np.array([f[p] for p in pts.tolist()], dtype=np.complex128)
-    return from_arrays(pts, A.entries @ vec)
-
-
 @dataclass(frozen=True)
 class OpNormEstimate:
     """Operator-norm value with a truncation certificate.
@@ -201,46 +195,21 @@ def opnorm_l2(A: OperatorMatrix) -> float:
 def conjugation_residual(
     a: PdoSymbol, grid: TorusGrid, window: Window
 ) -> float:
-    """Max entrywise deviation between the finite section of t_m and F^{-1} A* F.
+    """Max entrywise deviation between the finite section of t_a and F^{-1} A* F.
 
-    The periodic operator A acts on grid samples with frequency set equal to
-    the window, using the symbol a_per(x, k) = conj(a(-k, x)); small residual
-    certifies the conjugation identity numerically.
+    F takes delta_n to e^{-2 pi i n.x}, of frequency -n, so the periodic
+    operator A has the frequency set -W and the symbol
+    a_per(x, k) = conj(a(-k, x)); A* on the grid is the analysis
+    (1/M^n) sum_j a(n, xi_j) e^{2 pi i n.xi_j} g(xi_j) at n in W followed by
+    to_grid.  Every phase is exact mod M, so a small residual certifies the
+    conjugation identity on any window, however far from the origin.
     """
     if a.dim != grid.dim or a.dim != window.dim:
         raise ValueError("dimension mismatch")
     pts = _section_points(window)
-    K, n_nodes = len(pts), grid.node_count
-    union, where = np.unique(np.concatenate([pts, -pts]), axis=0, return_inverse=True)
-    where = where.reshape(-1)
-    # One cap for the union x nodes samples and the nodes x nodes A_grid below.
-    check_budget(max(len(union), n_nodes) * n_nodes, "symbol samples", MAX_SYMBOL_SAMPLES)
-    nodes = grid.nodes()
-    rows = _symbol_rows(a, union, grid)
-    direct = from_grid(rows[where[:K]], pts[:, None] - pts[None], grid)
-
-    freqs = pts.astype(np.float64)
-    # a_per[j, k] = conj(a(-k, x_j))
-    a_per = rows[where[K:]].T.conj()
-    synth = np.exp(2j * np.pi * (nodes @ freqs.T))        # x-synthesis phases
-    analy = np.exp(-2j * np.pi * (freqs @ nodes.T)) / n_nodes  # torus Fourier coeffs
-    A_grid = (synth * a_per) @ analy
-    fwd = np.exp(-2j * np.pi * (nodes @ freqs.T))          # lattice dft, window -> grid
-    inv = np.exp(2j * np.pi * (freqs @ nodes.T)) / n_nodes  # quadrature inverse
-    conjugated = inv @ A_grid.conj().T @ fwd
+    rows = _symbol_rows(a, pts, grid)
+    direct = from_grid(rows, pts[:, None] - pts[None], grid)
+    fwd = to_grid(np.eye(len(pts)), pts, grid)  # F delta_m on the grid, row m
+    analysed = (rows * fwd.conj()) @ fwd.T / grid.node_count  # (n, m)
+    conjugated = from_grid(to_grid(analysed.T, pts, grid), pts[None], grid).T
     return float(np.max(np.abs(direct - conjugated)))
-
-
-def save_matrix_csv(A: OperatorMatrix, path) -> None:
-    """CSV export (row,col,re,im) with a window header line."""
-    w = A.window
-    with open(path, "w") as fh:
-        fh.write(
-            f"dim={w.dim},lo={':'.join(map(str, w.lo))},hi={':'.join(map(str, w.hi))}\n"
-        )
-        fh.write("row,col,re,im\n")
-        side = w.cardinality
-        for i in range(side):
-            for j in range(side):
-                v = A.entries[i, j]
-                fh.write(f"{i},{j},{v.real!r},{v.imag!r}\n")

@@ -15,7 +15,6 @@ each torus derivative as one batched FFT over the node axes.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
@@ -127,27 +126,6 @@ class ClassReport:
             if row.alpha == a and row.beta == b:
                 return row.constant
         raise KeyError((alpha, beta))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "order": self.order,
-            "rho": self.rho,
-            "delta": self.delta,
-            "weight": self.weight,
-            "tolerance": self.tolerance,
-            "probe_window": {"lo": list(self.probe_window.lo),
-                             "hi": list(self.probe_window.hi)},
-            "resolution": self.resolution,
-            "rows": [{"alpha": list(r.alpha), "beta": list(r.beta), "constant": r.constant,
-                      "weight_exponent": r.weight_exponent} for r in self.rows],
-        }
-
-
-def save_class_report(report: ClassReport, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(report.to_json_dict(), fh, indent=2)
-        fh.write("\n")
 
 
 def _weights(points: np.ndarray, style: str) -> np.ndarray:
@@ -324,8 +302,11 @@ def gohberg_decay(
     Every shell is sampled in one _symbol_rows call; the shell sizes are
     counted against the sample budget before a shell is built or a range listed.
     Verdict "consistent" (with compactness) when the second half of d is
-    nonincreasing and ends below the tolerance; otherwise "not-compact".
+    nonincreasing and ends below the tolerance; otherwise "not-compact".  A
+    tolerance that is negative or not finite raises ValueError.
     """
+    if not 0 <= tolerance < math.inf:
+        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
     radii = radii if isinstance(radii, range) else list(radii)
     total = 0
     for r in map(abs, radii):  # (2r+1)^dim - (2r-1)^dim points on the shell |n|_inf = r

@@ -4,8 +4,9 @@ The forward transform is F(xi_j) = sum_n e^{-2 pi i n.xi_j} f(n) on the nodes
 xi_j = j/M; the inverse is the left-endpoint quadrature (1/M^n) sum_j
 e^{2 pi i n.xi_j} F(xi_j).  As e^{2 pi i n.j/M} depends on n only mod M, each
 is one exact FFT over the M^n box: the forward transform folds the support
-into the box by integer indices mod M, the inverse reads the box at lattice
-points mod M.  No other module moves between the lattice and the grid.
+into the box by integer indices mod M (to_grid), the inverse reads the box at
+lattice points mod M (from_grid).  No other module moves between the lattice
+and the grid.
 """
 
 from __future__ import annotations
@@ -91,17 +92,30 @@ def alias_free(points, resolution: int, window: Window | None = None) -> bool:
     return len(np.unique(np.mod(pts, M).astype(np.int64), axis=0)) == len(pts)
 
 
-def dft(f: LatticeSequence, grid: TorusGrid) -> TorusSamples:
-    """F(xi_j) = sum_n e^{-2 pi i n.xi_j} f(n), by one FFT of f folded mod M.
+def to_grid(values: np.ndarray, points: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """sum_p e^{-2 pi i n_p.xi_j} values[r, p] at every node xi_j, for each row r.
 
-    Colliding points add, as they do in the sum, so this is exact for any support.
+    values is (R, P) and points the (P, dim) int64 lattice points n_p.  Each
+    row is folded into an M^dim box by its points mod M, colliding points
+    adding as they do in the sum, and the R boxes are transformed together.  The
+    result is (R, M^dim) in node order, exact for any points; the dual of from_grid.
     """
+    R, M, dim = len(values), grid.resolution, grid.dim
+    box = np.zeros((R,) + (M,) * dim, dtype=np.complex128)
+    np.add.at(box, (np.arange(R)[:, None], *np.mod(points, M).T), values)
+    # fftn's own sequence of 1-D FFTs, last axis first; fftn(axes=...) costs
+    # more than the transform itself on small grids
+    for axis in range(dim, 0, -1):
+        box = np.fft.fft(box, axis=axis)
+    return box.reshape(R, -1)
+
+
+def dft(f: LatticeSequence, grid: TorusGrid) -> TorusSamples:
+    """F(xi_j) = sum_n e^{-2 pi i n.xi_j} f(n), by to_grid of f's one row."""
     if f.dim != grid.dim:
         raise ValueError(f"dimension mismatch: {f.dim} vs {grid.dim}")
     idx, val = f.arrays()
-    box = np.zeros((grid.resolution,) * grid.dim, dtype=np.complex128)
-    np.add.at(box, tuple(np.mod(idx, grid.resolution).T), val)
-    return TorusSamples(grid, np.fft.fftn(box).ravel())
+    return TorusSamples(grid, to_grid(val[None], idx, grid)[0])
 
 
 def from_grid(rows: np.ndarray, points: np.ndarray, grid: TorusGrid) -> np.ndarray:

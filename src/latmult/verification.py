@@ -187,6 +187,23 @@ def check_weak_young(seed: int = 42) -> CheckResult:
     )
 
 
+def _band_symbol(rng: np.random.Generator) -> PdoSymbol:
+    """Random scalar symbol sum_{|u| <= 2} c_u(n) e^{2 pi i u xi}, band-limited in xi."""
+    coeffs = rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))
+    thetas = rng.uniform(0.0, 1.0, 5)
+
+    def ev(n, xi):
+        total = 0j
+        for u in range(-2, 3):
+            c = coeffs[u + 2, 0] + coeffs[u + 2, 1] * np.exp(
+                2j * np.pi * thetas[u + 2] * n[0]
+            ) / (1.0 + abs(n[0]))
+            total += c * np.exp(2j * np.pi * u * xi[0])
+        return total
+
+    return PdoSymbol(1, ev)
+
+
 def check_conjugation(seed: int = 42) -> CheckResult:
     """Criterion 5: t_m = F^{-1} A* F for random band-limited pdo symbols."""
     t0 = time.perf_counter()
@@ -195,19 +212,7 @@ def check_conjugation(seed: int = 42) -> CheckResult:
     window = centered_window(8)
     worst = 0.0
     for _ in range(20):
-        coeffs = rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))
-        thetas = rng.uniform(0.0, 1.0, 5)
-
-        def ev(n, xi, coeffs=coeffs, thetas=thetas):
-            total = 0j
-            for u in range(-2, 3):
-                c = coeffs[u + 2, 0] + coeffs[u + 2, 1] * np.exp(
-                    2j * np.pi * thetas[u + 2] * n[0]
-                ) / (1.0 + abs(n[0]))
-                total += c * np.exp(2j * np.pi * u * xi[0])
-            return total
-
-        worst = max(worst, conjugation_residual(PdoSymbol(1, ev), grid, window))
+        worst = max(worst, conjugation_residual(_band_symbol(rng), grid, window))
     elapsed = time.perf_counter() - t0
     return CheckResult(
         5,

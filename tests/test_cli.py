@@ -438,6 +438,35 @@ def test_kstar_output(tmp_path):
     assert val == pytest.approx(expect, abs=1e-12)
 
 
+def test_kstar_at_k_three_is_exact(capsys):
+    # 30-digit sums over all m1^3 + m2^3 + m3^3; 2 terms^k nodes used to alias them
+    assert main(["kstar", "--k", "3", "--lam", "0.8", "--terms-list", "5,10"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert [r[2] for r in rows] == ["5", "10"]
+    want = [1.5779090979351294931, 1.704831223512216026]
+    for r, w in zip(rows, want):
+        assert float(r[3]) == pytest.approx(w, rel=1e-13)
+
+
+@pytest.mark.parametrize("k, terms", [
+    ("-1", "0"),  # used to raise ZeroDivisionError
+    ("0", "5"),
+    ("1", "0"),
+    ("3", "200"),  # 24 million nodes
+    ("99999999999999999999", "5"),  # used to hang forming terms^k
+])
+def test_kstar_rejects_bad_k_and_terms_with_exit_2(k, terms, capsys):
+    assert main(["kstar", "--k", k, "--terms-list", terms]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "-1"])
+def test_gohberg_rejects_a_bad_tolerance_with_exit_2(tolerance, capsys):
+    # used to print "# verdict=not-compact" and exit 0
+    assert main(["gohberg", "--symbol", "inverse-distance", "--tolerance", tolerance]) == 2
+    assert "tolerance" in capsys.readouterr().err
+
+
 def test_gohberg_output_and_verdict(tmp_path):
     out = str(tmp_path / "gohberg.csv")
     rc = main(

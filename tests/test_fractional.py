@@ -14,6 +14,7 @@ from latmult.fractional import (
     classify_weak_and_strong,
     fractional_kernel,
     kstar_norm_probe,
+    kstar_resolution,
     strong_norm_closed_form,
     symbol_partial_sum,
     weak_norm_closed_form,
@@ -268,3 +269,31 @@ def test_kstar_probe_guards():
         kstar_norm_probe(2, 0.8, 10, TorusGrid(1, 64))  # grid too coarse
     with pytest.raises(ValueError):
         kstar_norm_probe(1, 0.4, 4, TorusGrid(1, 64))  # lam out of range
+    with pytest.raises(ValueError, match="need at least 373"):
+        kstar_norm_probe(3, 0.8, 5, TorusGrid(1, 372))  # 2 terms^k = 250 nodes alias at k = 3
+
+
+def _kstar_by_representations(k, lam, terms):
+    """(sum_n r(n)^2)^{1/2k}, r(n) = sum over m_1^k + ... + m_k^k = n of prod m_i^{-lam}."""
+    with mpmath.workdps(30):
+        r = {}
+        for ms in itertools.product(range(1, terms + 1), repeat=k):
+            n = sum(m**k for m in ms)
+            r[n] = r.get(n, 0) + mpmath.fprod(mpmath.mpf(m) ** -lam for m in ms)
+        return float(mpmath.fsum(v * v for v in r.values()) ** (mpmath.mpf(1) / (2 * k)))
+
+
+@pytest.mark.parametrize("k, terms", [(3, 5), (3, 10), (4, 4), (2, 10)])
+def test_kstar_probe_equals_the_representation_sum(k, terms):
+    # Parseval: ||S||_{2k}^{2k} = sum_n r(n)^2, exact on k(terms^k - 1) + 1 nodes
+    grid = TorusGrid(1, kstar_resolution(k, terms))
+    got = kstar_norm_probe(k, 0.8, terms, grid)
+    assert got == pytest.approx(_kstar_by_representations(k, 0.8, terms), rel=1e-13)
+
+
+def test_kstar_resolution():
+    assert [kstar_resolution(k, t) for k, t in [(3, 5), (3, 10), (1, 7)]] == [373, 2998, 7]
+    assert kstar_resolution(10**30, 1) == 1
+    for k, terms in [(0, 5), (-1, 0), (1, 0), (3, 200), (10**20, 5)]:
+        with pytest.raises(ValueError):
+            kstar_resolution(k, terms)

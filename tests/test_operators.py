@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 
 from latmult.catalog import (
+    constant_one_pdo,
     fractional_multiplier,
     identity_multiplier,
+    inverse_distance_pdo,
     kernel_multiplier,
     modulation_multiplier,
+    oscillating_decay_pdo,
+    smooth_decay_pdo,
 )
 from latmult.fractional import FractionalParams
 from latmult.lattice import (
@@ -16,6 +20,7 @@ from latmult.lattice import (
     centered_window,
     convolve,
     delta,
+    from_arrays,
     restrict,
     sequence,
     translate,
@@ -25,7 +30,6 @@ from latmult.operators import (
     MultiplierSymbol,
     OperatorMatrix,
     PdoSymbol,
-    apply_matrix,
     apply_multiplier,
     apply_pdo,
     conjugation_residual,
@@ -35,9 +39,9 @@ from latmult.operators import (
     opnorm_l2,
     pdo_matrix,
     sample_multiplier,
-    save_matrix_csv,
 )
 from latmult.torus import TorusGrid, dft, inverse_dft
+from latmult.verification import _band_symbol
 
 GRID = TorusGrid(1, 64)
 WINDOW = centered_window(8)
@@ -115,7 +119,8 @@ def test_pdo_matches_matrix_oracle():
     f = random_seq(rng, span=3)
     out = apply_pdo(a, f, GRID, WINDOW)
     A = pdo_matrix(a, WINDOW, GRID)
-    mat = apply_matrix(A, f)
+    vec = np.array([f[p] for p in WINDOW.points()])
+    mat = from_arrays(WINDOW.indices(), A.entries @ vec)
     assert seq_close(out, mat, WINDOW, 1e-11)
 
 
@@ -149,7 +154,8 @@ def test_pdo_matrix_agrees_with_apply_on_random_inputs():
     for _ in range(20):
         f = random_seq(rng, span=3)
         direct = apply_pdo(a, f, GRID, WINDOW)
-        mat = apply_matrix(A, f)
+        vec = np.array([f[p] for p in WINDOW.points()])
+        mat = from_arrays(WINDOW.indices(), A.entries @ vec)
         assert seq_close(direct, mat, WINDOW, 1e-11)
 
 
@@ -199,20 +205,17 @@ def test_apply_pdo_cap_is_checked_before_listing_the_output_window():
     assert peak < 8 * 2**20
 
 
-def test_conjugation_grid_operator_cap_is_checked_before_sampling():
-    # one window point, but the nodes x nodes grid operator would be 256 MiB
-    def never(n, xi):
-        raise AssertionError("symbol evaluated past the sample cap")
-
+def test_conjugation_residual_memory_is_bounded_by_the_window():
+    # one window point on 4096 nodes: no array is nodes x nodes (256 MiB)
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="symbol samples"):
-            conjugation_residual(
-                PdoSymbol(1, never), TorusGrid(1, 4096), centered_window(0)
-            )
+        resid = conjugation_residual(
+            inverse_distance_pdo(), TorusGrid(1, 4096), centered_window(0)
+        )
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert resid <= 1e-13
     assert peak < 8 * 2**20
 
 
@@ -338,11 +341,26 @@ def test_conjugation_residual_symbol_odd_in_n():
     assert conjugation_residual(a, GRID, WINDOW) < 1e-10
 
 
-def test_matrix_csv_export(tmp_path):
-    A = pdo_matrix(multiplier_as_pdo(identity_multiplier(1)), box((0,), (2,)), GRID)
-    path = tmp_path / "matrix.csv"
-    save_matrix_csv(A, path)
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("dim=1")
-    assert lines[1] == "row,col,re,im"
-    assert len(lines) == 2 + 9
+CONJUGATION_SYMBOLS = {
+    "one": constant_one_pdo(),
+    "inverse-distance": inverse_distance_pdo(),
+    "oscillating-decay": oscillating_decay_pdo(),
+    "smooth-decay": smooth_decay_pdo(),
+    **{f"band-{i}": _band_symbol(np.random.default_rng(70 + i)) for i in range(3)},
+}
+
+
+@pytest.mark.parametrize("lo, hi", [(-7, 8), (0, 16), (10**6, 10**6 + 16),
+                                    (10**12, 10**12 + 16)])
+@pytest.mark.parametrize("name", sorted(CONJUGATION_SYMBOLS))
+def test_conjugation_residual_on_off_centre_windows(name, lo, hi):
+    # F sends delta_n to frequency -n; a window not symmetric about 0 shows a sign slip
+    window = Window(1, (lo,), (hi,))
+    assert conjugation_residual(CONJUGATION_SYMBOLS[name], GRID, window) <= 1e-13
+
+
+@pytest.mark.parametrize("lo", [(3, -5), (10**9, 7)])
+def test_conjugation_residual_on_off_centre_boxes_in_dim_2(lo):
+    window = box(lo, (lo[0] + 4, lo[1] + 3))
+    for sym in (constant_one_pdo(2), inverse_distance_pdo(2)):
+        assert conjugation_residual(sym, TorusGrid(2, 16), window) <= 1e-13

@@ -1,4 +1,3 @@
-import json
 import math
 import tracemalloc
 
@@ -19,7 +18,6 @@ from latmult.symbols import (
     cv_check,
     difference,
     gohberg_decay,
-    save_class_report,
     singular_tail,
     torus_derivative,
 )
@@ -137,19 +135,6 @@ def test_class_check_rejects_bad_exponents():
         class_check(a, 0.0, 1.0, 0.0, 1, 1, w, g)
     with pytest.raises(ValueError):
         class_check(a, 0.0, 0.0, 1.5, 1, 1, w, g)
-
-
-def test_class_report_json_round_trip(tmp_path):
-    a = ToroidalSymbol(1, lambda x, xi: 1.0)
-    report = class_check(
-        a, 0.0, 0.0, 0.0, 1, 1, centered_window(4), TorusGrid(1, 8)
-    )
-    path = tmp_path / "report.json"
-    save_class_report(report, path)
-    data = json.loads(path.read_text())
-    assert data["verdict"] == "bounded"
-    assert data["probe_window"] == {"lo": [-4], "hi": [4]}
-    assert len(data["rows"]) == 4
 
 
 def test_cv_check_constant_symbol_is_bounded():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from latmult.fractional import FractionalParams, fractional_kernel
-from latmult.lattice import box, centered_window, delta, sequence, translate
+from latmult.lattice import box, centered_window, delta, from_arrays, sequence, translate
 from latmult.norms import lp_norm
 from latmult.torus import (
     TorusGrid,
@@ -14,6 +14,7 @@ from latmult.torus import (
     lq_torus_norm,
     sample_function,
     save_csv,
+    to_grid,
 )
 
 
@@ -45,6 +46,22 @@ def test_dft_matches_direct_summation_oracle():
             v * np.exp(-2j * np.pi * idx[0] * node[0]) for idx, v in f.items()
         )
         assert abs(value - acc) <= 1e-13 * max(abs(acc), 1.0)
+
+
+def test_to_grid_rows_are_dfts_of_their_sequences():
+    # repeated points and points far beyond M fold like the sum does
+    rng = np.random.default_rng(26)
+    for dim, M in ((1, 16), (2, 8)):
+        grid = TorusGrid(dim, M)
+        points = rng.integers(-20, 20, size=(12, dim))
+        points[3] = points[7]
+        points[5] += 10**12
+        values = rng.standard_normal((4, 12)) + 1j * rng.standard_normal((4, 12))
+        rows = to_grid(values, points, grid)
+        assert rows.shape == (4, grid.node_count)
+        for row, vals in zip(rows, values):
+            want = dft(from_arrays(points, vals), grid).values
+            assert np.max(np.abs(row - want)) <= 1e-12
 
 
 def test_dft_dim2():
