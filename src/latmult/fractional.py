@@ -27,17 +27,29 @@ from .lattice import (
 from .torus import MAX_NODES, TorusGrid, TorusSamples, dft, lq_torus_norm
 
 
+# Kernel terms run to m <= lattice.MAX_ELEMENTS = 2^26, so an index m^power
+# has at most 26 * 512 = 13312 bits, 4008 decimal digits.
+MAX_POWER = 512
+
+
 @dataclass(frozen=True)
 class FractionalParams:
-    """(power, decay, oscillation) = the textbook parameters (k, lambda, gamma)."""
+    """(power, decay, oscillation) = the textbook parameters (k, lambda, gamma).
+
+    ValueError unless 1 <= power <= MAX_POWER = 512, before any m^power is
+    formed: every kernel index m^power then stays within Python's default
+    4300-digit limit on writing an int, and every integer power and root the
+    operators take is cheap.  Also needs 0 < decay <= 1 and a finite
+    oscillation.
+    """
 
     power: int
     decay: float
     oscillation: float = 0.0
 
     def __post_init__(self):
-        if self.power < 1:
-            raise ValueError(f"power must be >= 1, got {self.power}")
+        if not 1 <= self.power <= MAX_POWER:
+            raise ValueError(f"power must lie in [1, {MAX_POWER}], got {self.power}")
         if not 0 < self.decay <= 1:
             raise ValueError(f"decay must lie in (0, 1], got {self.decay}")
         if not math.isfinite(self.oscillation):

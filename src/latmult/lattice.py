@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -122,6 +123,20 @@ class LatticeSequence:
     def magnitudes(self) -> np.ndarray:
         """|f| over the support, in support order, rounded as abs(complex) is."""
         return np.hypot(self.val.real, self.val.imag)  # np.abs may differ by an ulp
+
+    @cached_property
+    def rearranged(self) -> np.ndarray:
+        """|f|*: magnitudes() sorted nonincreasing, read-only, computed once.
+
+        The reversed view of the ascending sort, not a contiguous copy: numpy
+        rounds some array powers of the two layouts differently, and the
+        norms are pinned to this one.  The arrays are read-only, so it cannot
+        go stale.
+        """
+        mags = self.magnitudes()
+        mags.sort()
+        mags.setflags(write=False)
+        return mags[::-1]
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """(indices, values) in support order, read-only; ValueError beyond int64."""
@@ -333,16 +348,48 @@ def restrict(f: LatticeSequence, window: Window) -> LatticeSequence:
 
 
 def save_jsonl(f: LatticeSequence, path) -> None:
-    """JSON Lines: header {"dim": n}, then one object per support point."""
+    """JSON Lines: header {"dim": n}, then one object per support point, each
+    written as json.dumps writes it; ValueError for a non-finite value."""
+    if not np.isfinite(f.val).all():
+        raise ValueError("JSON cannot hold a non-finite value")
+    rows = [
+        f'{{"index": [{", ".join(map(str, i))}], "re": {v.real!r}, "im": {v.imag!r}}}\n'
+        for i, v in zip(f.idx.tolist(), f.val.tolist())
+    ]
     with open(path, "w") as fh:
-        fh.write(json.dumps({"dim": f.dim}) + "\n")
-        for idx, v in zip(f.idx.tolist(), f.val.tolist()):
-            fh.write(json.dumps({"index": idx, "re": v.real, "im": v.imag}) + "\n")
+        fh.write(f'{{"dim": {f.dim}}}\n')
+        fh.writelines(rows)
 
 
 def load_jsonl(path) -> LatticeSequence:
-    """Inverse of save_jsonl; a repeated index keeps its last row."""
+    """Inverse of save_jsonl; a repeated index keeps its last row.
+
+    ValueError for a line that is not one object with an integer `index` of
+    the header's dim and numbers `re`, `im`, and for a value that is not
+    finite (JSON's NaN and Infinity tokens included).
+    """
     with open(path) as fh:
         dim = int(json.loads(fh.readline())["dim"])
-        rows = [json.loads(line) for line in fh if line.strip()]
-    return sequence(dim, {tuple(r["index"]): complex(r["re"], r["im"]) for r in rows})
+        lines = [line for line in fh if line.strip()]
+    rows = json.loads("[" + ",".join(lines) + "]")
+    try:
+        points = [r["index"] for r in rows]
+        val = np.array([complex(r["re"], r["im"]) for r in rows], dtype=np.complex128)
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed row: {exc!r}") from None
+    idx = np.asarray(points)
+    if idx.dtype != np.int64 or idx.ndim > 2:  # beyond int64, or not all integers
+        flat = [c for p in points for c in (p if type(p) is list else [p])]
+        if not all(isinstance(c, int) for c in flat):
+            raise ValueError("indices must be integers")
+        idx = exact_indices(flat)
+    idx = idx.reshape(-1, dim)
+    if len(rows) != len(lines) or len(idx) != len(rows):
+        raise ValueError(f"each line must be one object with an index of dim {dim}")
+    if not np.isfinite(val).all():
+        raise ValueError("values must be finite")
+    # stable sort: the last of each run of equal points is its last row
+    order = np.lexsort(idx.T[::-1])
+    last = np.ones(len(order), dtype=bool)
+    last[:-1] = np.any(idx[order[1:]] != idx[order[:-1]], axis=1)
+    return from_arrays(idx[order[last]], val[order[last]])

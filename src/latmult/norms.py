@@ -4,7 +4,8 @@ The weak-l^{p,inf} quasinorm sup_a a.mu{|f|>a}^{1/p} is computed through the
 decreasing rearrangement: it equals max_j j^{1/p} f*_j, which is exact and
 tie-agnostic.  The equivalent seminorm (sup over finite subsets E) is reduced
 to a prefix scan: for fixed |E| = s the inner r-sum is maximized by the s
-largest magnitudes.
+largest magnitudes.  Both read f.rearranged, which a sequence sorts on first
+use and keeps; lp_norm sums |f|^p in support order.
 """
 
 from __future__ import annotations
@@ -25,8 +26,7 @@ class RearrangementProfile:
 
 
 def rearrangement(f: LatticeSequence) -> RearrangementProfile:
-    mags = np.sort(f.magnitudes())[::-1]
-    return RearrangementProfile(mags, len(mags))
+    return RearrangementProfile(f.rearranged, len(f))
 
 
 def lp_norm(f: LatticeSequence, p: float) -> float:

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -458,6 +459,63 @@ def test_kstar_at_k_three_is_exact(capsys):
 def test_kstar_rejects_bad_k_and_terms_with_exit_2(k, terms, capsys):
     assert main(["kstar", "--k", k, "--terms-list", terms]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+HUGE_K = "99999999999999999999"
+
+
+@pytest.mark.parametrize("argv", [
+    ["kstar", "--k", HUGE_K, "--terms-list", "1"],  # used to raise OverflowError
+    ["kernel", "--k", "513", "--max-m", "3", "--out", os.devnull],
+])
+def test_a_power_over_the_bound_exits_2(argv, capsys):
+    assert main(argv) == 2
+    assert "power must lie in [1, 512]" in capsys.readouterr().err
+
+
+def _one_gib_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+@pytest.mark.parametrize("argv", [
+    ["kernel", "--k", HUGE_K, "--max-m", "3", "--out", "k.jsonl"],
+    ["apply", "--symbol", "fractional", "--k", HUGE_K, "--window=0:10", "--input", "d.jsonl",
+     "--out", "o.jsonl"],
+    ["opnorm", "--k", HUGE_K],
+])
+def test_a_huge_power_is_refused_before_any_power_is_formed(tmp_path, argv):
+    # Each used to hang in a big-int power, which does not check signals: run
+    # in a child with a timeout and an address-space limit.
+    save_jsonl(sequence(1, {(0,): 1.0}), tmp_path / "d.jsonl")
+    src = str(Path(latmult.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    run = subprocess.run([sys.executable, "-m", "latmult.cli", *argv], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=10,
+                         preexec_fn=_one_gib_address_space)
+    assert run.returncode == 2 and "power must lie in [1, 512]" in run.stderr
+    assert run.stdout == "" and sorted(p.name for p in tmp_path.iterdir()) == ["d.jsonl"]
+
+
+def test_kernel_at_the_largest_power_writes_exact_indices(tmp_path):
+    out = tmp_path / "k.jsonl"
+    assert main(["kernel", "--k", "512", "--max-m", "3", "--out", str(out)]) == 0
+    assert load_jsonl(out).support() == [(1,), (2**512,), (3**512,)]
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999"])
+@pytest.mark.parametrize("cmd", ["norm", "apply"])
+def test_a_non_finite_input_value_exits_2(tmp_path, capsys, token, cmd):
+    # used to load, print "nan" norms and exit 0
+    path = tmp_path / "f.jsonl"
+    path.write_text(f'{{"dim": 1}}\n{{"index": [0], "re": 1.0, "im": 0.0}}\n'
+                    f'{{"index": [3], "re": 0.5, "im": {token}}}\n')
+    argv = [cmd, "--input", str(path)]
+    if cmd == "apply":
+        argv += ["--out", str(tmp_path / "o.jsonl"), "--window=-8:8"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "finite" in captured.err
+    assert not (tmp_path / "o.jsonl").exists()
 
 
 @pytest.mark.parametrize("tolerance", ["nan", "-1"])

@@ -20,11 +20,13 @@ from hypothesis import strategies as st
 from latmult.fractional import FractionalParams, _coefficients, _iroot, apply_fractional
 from latmult.lattice import (
     MAX_ELEMENTS,
+    LatticeSequence,
     Window,
     add,
     box,
     convolve,
     delta,
+    load_jsonl,
     restrict,
     save_jsonl,
     scale,
@@ -138,6 +140,70 @@ def test_save_jsonl_bytes_match_dict_oracle(tmp_path_factory, case):
     path = tmp_path_factory.mktemp("jsonl") / "f.jsonl"
     save_jsonl(sequence(dim, pairs), path)
     assert path.read_text() == dict_jsonl(dict_sequence(pairs), dim)
+
+
+@settings(max_examples=100)
+@given(st.integers(1, 2).flatmap(lambda d: st.tuples(st.just(d), pair_lists(d, max_size=20))))
+def test_load_jsonl_keeps_the_last_row_of_each_index(tmp_path_factory, case):
+    dim, pairs = case
+    lines = [json.dumps({"index": list(p), "re": v.real, "im": v.imag}) for p, v in pairs]
+    path = tmp_path_factory.mktemp("jsonl") / "f.jsonl"
+    path.write_text("\n".join([json.dumps({"dim": dim})] + lines) + "\n")
+    last = {p: v for p, v in pairs}  # a dict keeps the last value of each key
+    g = load_jsonl(path)
+    assert_matches(g, dict_sequence(last.items()), 0.0, exact=True)
+    assert g == sequence(dim, last)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_jsonl_round_trips_full_precision_values(tmp_path, dim):
+    rng = np.random.default_rng(dim)
+    idx = rng.integers(-(2**62), 2**62, (200, dim))
+    val = rng.standard_normal(200) * 10.0 ** rng.integers(-300, 300, 200) + 1j * rng.standard_normal(200)
+    val[:3] = [-0.0j, complex(5e-324, -0.0), complex(-1.7976931348623157e308, 2.0)]
+    f = sequence(dim, zip(map(tuple, idx.tolist()), val.tolist()))
+    save_jsonl(f, tmp_path / "f.jsonl")
+    assert (tmp_path / "f.jsonl").read_text() == dict_jsonl(dict(f.items()), dim)
+    assert load_jsonl(tmp_path / "f.jsonl") == f
+
+
+@pytest.mark.parametrize("value", [complex("nan"), complex(1.0, float("inf")), complex("-inf")])
+def test_save_jsonl_refuses_a_non_finite_value(tmp_path, value):
+    f = LatticeSequence(np.array([[0], [1]]), np.array([1.0, value]))
+    with pytest.raises(ValueError, match="non-finite"):
+        save_jsonl(f, tmp_path / "f.jsonl")
+    assert not (tmp_path / "f.jsonl").exists()
+
+
+@pytest.mark.parametrize("row", [
+    '{"index": [0], "re": NaN, "im": 0}',
+    '{"index": [0], "re": 1, "im": -Infinity}',
+    '{"index": [0], "re": 1e999, "im": 0}',
+    '{"index": [0], "re": "1", "im": 0}',
+    '{"index": [0.5], "re": 1, "im": 0}',
+    '{"index": ["0"], "re": 1, "im": 0}',
+    '{"index": [1180591620717411303424, 0.5], "re": 1, "im": 0}',
+    '{"index": [[0]], "re": 1, "im": 0}',
+    '{"index": [0, 1], "re": 1, "im": 0}',
+    '{"re": 1, "im": 0}',
+    '{"index": [0], "re": 1, "im": 0}, {"index": [1], "re": 1, "im": 0}',
+    '[0, 1]',
+])
+def test_load_jsonl_rejects_a_malformed_or_non_finite_row(tmp_path, row):
+    path = tmp_path / "f.jsonl"
+    path.write_text('{"dim": 1}\n{"index": [5], "re": 1, "im": 0}\n' + row + "\n")
+    with pytest.raises(ValueError):
+        load_jsonl(path)
+
+
+def test_load_jsonl_reads_indices_beyond_int64_and_blank_lines(tmp_path):
+    path = tmp_path / "f.jsonl"
+    path.write_text('{"dim": 1}\n\n{"index": [9223372036854775808], "re": 1, "im": 0}\n'
+                    '   \n{"index": [-1], "re": 2, "im": 0}\n')
+    f = load_jsonl(path)
+    assert f.idx.dtype == object and f.support() == [(-1,), (2**63,)]
+    path.write_text('{"dim": 2}\n')
+    assert load_jsonl(path) == sequence(2, [])
 
 
 def test_cancelling_repeats_prune_and_sum_in_input_order():

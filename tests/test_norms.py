@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from latmult.lattice import delta, scale, sequence
+from latmult.fractional import FractionalParams, fractional_kernel
+from latmult.lattice import add, delta, scale, sequence, translate
 from latmult.norms import (
     distribution,
     equivalent_seminorm,
@@ -14,6 +15,7 @@ from latmult.norms import (
     rearrangement,
     weak_norm,
 )
+from latmult.verification import _seminorm_subset_oracle
 
 
 def random_seq(rng, span=10, count=8):
@@ -152,6 +154,8 @@ def test_seminorm_matches_exhaustive_subsets():
             for combo in itertools.combinations(mags, size):
                 best = max(best, size ** (1.0 / 2 - 1.0) * sum(combo))
         assert equivalent_seminorm(f, 2.0, 1.0) == pytest.approx(best, abs=1e-12)
+        # criterion 7's oracle enumerates the same subsets as mask rows
+        assert _seminorm_subset_oracle(f, 2.0, 1.0) == pytest.approx(best, abs=1e-12)
 
 
 def test_seminorm_default_r_is_half_p():
@@ -217,3 +221,32 @@ def test_sup_norm_is_max_magnitude(vals):
 def test_nan_exponent_rejected(norm):
     with pytest.raises(ValueError):
         norm(delta(0))
+
+
+def test_rearrangement_is_computed_once_and_read_only():
+    f = fractional_kernel(FractionalParams(2, 0.6, 0.7), 1000)
+    r = f.rearranged
+    assert f.rearranged is r and rearrangement(f).sorted_magnitudes is r
+    assert not r.flags.writeable
+    with pytest.raises(ValueError):
+        r[0] = 0.0
+    want = np.sort(f.magnitudes())[::-1]
+    assert r.tobytes() == want.tobytes() and r.strides == want.strides
+
+
+def test_derived_sequences_compute_their_own_rearrangement():
+    f = random_seq(np.random.default_rng(3))
+    r = f.rearranged
+    for g in (translate(f, 4), scale(f, -2.0), add(f, f), scale(f, 1.0)):
+        assert "rearranged" not in vars(g)
+        assert g.rearranged is not r
+        assert g.rearranged.tobytes() == np.sort(g.magnitudes())[::-1].tobytes()
+
+
+@pytest.mark.parametrize("p", [1.25, 2.0, 5.0])
+def test_norms_read_the_same_floats_from_the_cache(p):
+    f = fractional_kernel(FractionalParams(3, 0.5, 1.3), 10**4)
+    first = (weak_norm(f, p), equivalent_seminorm(f, p), equivalent_seminorm(f, p, p / 3))
+    assert "rearranged" in vars(f)
+    again = (weak_norm(f, p), equivalent_seminorm(f, p), equivalent_seminorm(f, p, p / 3))
+    assert again == first
