@@ -27,13 +27,7 @@ from .lattice import (
     sequence,
     translate,
 )
-from .norms import (
-    distribution,
-    equivalent_seminorm,
-    lp_norm,
-    rearrangement,
-    weak_norm,
-)
+from .norms import distribution, equivalent_seminorm, lp_norm, weak_norm
 from .operators import (
     MultiplierSymbol,
     OperatorMatrix,

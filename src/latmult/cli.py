@@ -230,12 +230,17 @@ def cmd_classify(args) -> int:
 
 
 def _parse_range(spec: str) -> list[float]:
-    """Either a comma list '0.2,0.5' or 'start:stop:count'."""
+    """Either a comma list '0.2,0.5' or 'start:stop:count'; every value finite."""
     if ":" in spec:
         a, b, n = spec.split(":")
         check_budget(int(n), "range values")
-        return [float(x) for x in np.linspace(float(a), float(b), int(n))]
-    return [float(x) for x in spec.split(",")]
+        with np.errstate(all="ignore"):  # a value that is not finite is refused below
+            values = [float(x) for x in np.linspace(float(a), float(b), int(n))]
+    else:
+        values = [float(x) for x in spec.split(",")]
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"range {spec!r} holds a value that is not finite")
+    return values
 
 
 def _scan_cell(k: int, lam: float, gamma: float, p: float, q: float, terms: int) -> str:
@@ -281,8 +286,8 @@ def cmd_scan(args) -> int:
                 setattr(args, key, cfg[key])
     if not 1 <= args.terms <= sys.float_info.max:
         raise ValueError(f"terms must be >= 1 and at most the largest float, got {args.terms}")
-    if math.isnan(args.q):
-        raise ValueError("q must not be nan")
+    if not math.isfinite(args.q):
+        raise ValueError(f"q must be finite, got {args.q}")
     ks = [int(x) for x in (args.k_list or "1,2,3").split(",")]
     lams = _parse_range(args.lam_range or "0.2:0.9:8")
     ps = _parse_range(args.p_range or "1.5:3:4")

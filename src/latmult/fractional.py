@@ -24,7 +24,7 @@ from .lattice import (
     restrict,
     sequence,
 )
-from .torus import MAX_NODES, TorusGrid, TorusSamples, dft, lq_torus_norm
+from .torus import MAX_NODES, TorusGrid, TorusSamples, lq_torus_norm, to_grid
 
 
 # Kernel terms run to m <= lattice.MAX_ELEMENTS = 2^26, so an index m^power
@@ -274,8 +274,7 @@ def symbol_partial_sum(
     kern = fractional_kernel(params, terms)
     # m^power mod M in exact integers keeps every phase exact on the grid.
     residues = np.asarray(kern.idx % grid.resolution, dtype=np.int64)
-    folded = from_arrays(residues, kern.val)
-    vals = dft(folded, grid).values
+    vals = to_grid(kern.val[None], residues, grid)[0]
     if params.decay > 0.5:
         tail = math.sqrt(max(_zeta_tail(2.0 * params.decay, terms), 0.0))
     else:

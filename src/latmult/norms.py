@@ -6,27 +6,36 @@ tie-agnostic.  The equivalent seminorm (sup over finite subsets E) is reduced
 to a prefix scan: for fixed |E| = s the inner r-sum is maximized by the s
 largest magnitudes.  Both read f.rearranged, which a sequence sorts on first
 use and keeps; lp_norm sums |f|^p in support order.
+
+Each norm is first taken by its plain formula.  Where that overflows, or
+underflows far enough to lose digits, the same sums are taken relative to the
+largest magnitude f*_1, in log form where a power could still overflow (with
+expm1/log1p for the seminorm's mean of (f*_i/f*_1)^r).  So no norm comes out
+as a spurious 0, inf or nan, and ValueError is raised only when the norm
+itself lies beyond the largest float.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
 from .lattice import LatticeSequence
 
-
-@dataclass(frozen=True, eq=False)
-class RearrangementProfile:
-    """Magnitudes of f sorted nonincreasing (f*_1 >= f*_2 >= ...)."""
-
-    sorted_magnitudes: np.ndarray
-    cardinality: int
+_TINY = np.finfo(np.float64).tiny
 
 
-def rearrangement(f: LatticeSequence) -> RearrangementProfile:
-    return RearrangementProfile(f.rearranged, len(f))
+def _finite(value: float) -> float:
+    if value == math.inf:
+        raise ValueError("the norm exceeds the largest float")
+    return value
+
+
+def _times_exp(scale: float, x: float) -> float:
+    """scale * e^x for scale > 0; ValueError when it lies beyond the largest float."""
+    with np.errstate(over="ignore"):
+        return _finite(float(scale * np.exp(x) if x < 700 else np.exp(x + np.log(scale))))
 
 
 def lp_norm(f: LatticeSequence, p: float) -> float:
@@ -38,7 +47,12 @@ def lp_norm(f: LatticeSequence, p: float) -> float:
         return 0.0
     if p == np.inf:
         return float(np.max(mags))
-    return float(np.sum(mags**p) ** (1.0 / p))
+    with np.errstate(all="ignore"):
+        total = np.sum(mags**p)
+        if len(mags) * _TINY <= total < math.inf:  # no overflow, underflow below an ulp
+            return float(total ** (1.0 / p))
+        top = np.max(mags)
+        return _finite(float(top * np.sum((mags / top) ** p) ** (1.0 / p)))
 
 
 def distribution(f: LatticeSequence, alpha: float) -> int:
@@ -52,11 +66,15 @@ def weak_norm(f: LatticeSequence, p: float) -> float:
     """Weak-l^{p,inf} quasinorm, max_j j^{1/p} f*_j over the rearrangement."""
     if not p > 0:
         raise ValueError(f"p must be > 0, got {p}")
-    prof = rearrangement(f)
-    if prof.cardinality == 0:
+    fstar = f.rearranged
+    if len(fstar) == 0:
         return 0.0
-    j = np.arange(1, prof.cardinality + 1, dtype=np.float64)
-    return float(np.max(j ** (1.0 / p) * prof.sorted_magnitudes))
+    j = np.arange(1, len(fstar) + 1, dtype=np.float64)
+    with np.errstate(all="ignore"):
+        value = float(np.max(j ** (1.0 / p) * fstar))
+        if value < math.inf:
+            return value
+        return _times_exp(fstar[0], np.max(np.log(j) / p + np.log(fstar / fstar[0])))
 
 
 def equivalent_seminorm(f: LatticeSequence, p: float, r: float | None = None) -> float:
@@ -68,9 +86,23 @@ def equivalent_seminorm(f: LatticeSequence, p: float, r: float | None = None) ->
         r = p / 2.0
     if not 0 < r < p:  # also rejects nan p or r
         raise ValueError(f"need 0 < r < p, got r={r}, p={p}")
-    prof = rearrangement(f)
-    if prof.cardinality == 0:
+    fstar = f.rearranged
+    if len(fstar) == 0:
         return 0.0
-    s = np.arange(1, prof.cardinality + 1, dtype=np.float64)
-    prefix = np.cumsum(prof.sorted_magnitudes**r)
-    return float(np.max(s ** (1.0 / p - 1.0 / r) * prefix ** (1.0 / r)))
+    s = np.arange(1, len(fstar) + 1, dtype=np.float64)
+    with np.errstate(all="ignore"):
+        prefix = np.cumsum(fstar**r)
+        size, mass = s ** (1.0 / p - 1.0 / r), prefix ** (1.0 / r)
+        # size falls and mass rises with s, so their ends bound every factor; below
+        # r = 1/8 the power 1/r would multiply the rounding of the sums too far
+        if (r >= 0.125 and len(s) * _TINY <= prefix[0] and size[-1] >= _TINY
+                and mass[0] >= _TINY and mass[-1] < math.inf):
+            value = float(np.max(size * mass))
+            if value < math.inf:
+                return value
+        # the s-th value is f*_1 s^{1/p} (mean_{i<=s} t_i^r)^{1/r} with t = f*/f*_1;
+        # below the smallest normal r it equals its r -> 0 limit to the last bit
+        t, rr = fstar / fstar[0], max(r, _TINY)
+        excess = np.cumsum(np.expm1(rr * np.log(t))) / s  # mean of t^r, minus 1
+        log_mean = np.where(excess > -0.5, np.log1p(excess), np.log(np.cumsum(t**rr) / s))
+        return _times_exp(fstar[0], np.max(np.log(s) / p + log_mean / rr))

@@ -7,12 +7,12 @@ l^{p,inf} and l^1 -> l^p operator norms come for free from the kernel, since
 both equal the corresponding norm of k = F^{-1} m and are attained by delta
 inputs.
 
-Symbols are sampled in one place each, always at the nodes of a grid.
-sample_multiplier takes a multiplier with a finite `kernel` as dft(kernel),
-one FFT that is exact on the grid, and any other multiplier node by node
-through its scalar `eval`.  _symbol_rows samples a pdo symbol (or a toroidal
-one, through a pdo adapter) on (lattice points) x (grid nodes) through its
-`rows(n, grid)` when it has one, and through the scalar `eval` otherwise.
+Symbols are sampled at the nodes of a grid, by one function: _symbol_rows
+samples a pdo symbol (or a toroidal one, through a pdo adapter) on (lattice
+points) x (grid nodes) through its `rows(n, grid)` when it has one, and
+through the scalar `eval` otherwise.  sample_multiplier takes a multiplier
+with a finite `kernel` as dft(kernel), one FFT that is exact on the grid, and
+any other multiplier as the one row of multiplier_as_pdo(m) at the origin.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from .lattice import LatticeSequence, Window, check_budget, from_arrays
 from .norms import lp_norm, weak_norm
-from .torus import TorusGrid, TorusSamples, dft, from_grid, inverse_dft, sample_function, to_grid
+from .torus import TorusGrid, TorusSamples, dft, from_grid, inverse_dft, to_grid
 
 MATRIX_CAP = 4096
 # Largest (lattice points) x (grid nodes) array of pdo symbol samples, 64 MiB.
@@ -59,12 +59,12 @@ class PdoSymbol:
 
 
 def multiplier_as_pdo(m: MultiplierSymbol) -> PdoSymbol:
-    """a(n', xi) = m(xi); its rows are the one sample_multiplier row for all points."""
-    return PdoSymbol(
-        m.dim,
-        lambda n, xi: m.eval(xi),
-        lambda n, grid: sample_multiplier(m, grid).values[None, :],
-    )
+    """a(n', xi) = m(xi); given a kernel, rows is its one dft row for every point."""
+
+    def rows(n, grid):
+        return sample_multiplier(m, grid).values[None, :]
+
+    return PdoSymbol(m.dim, lambda n, xi: m.eval(xi), None if m.kernel is None else rows)
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,7 +87,8 @@ def sample_multiplier(m: MultiplierSymbol, grid: TorusGrid) -> TorusSamples:
         raise ValueError("dimension mismatch")
     if m.kernel is not None:
         return dft(m.kernel, grid)
-    return sample_function(grid, m.eval)
+    origin = np.zeros((1, m.dim), dtype=np.int64)
+    return TorusSamples(grid, _symbol_rows(multiplier_as_pdo(m), origin, grid)[0])
 
 
 def apply_multiplier(
@@ -104,8 +105,8 @@ def apply_multiplier(
 def _symbol_rows(a: PdoSymbol, points: np.ndarray, grid: TorusGrid) -> np.ndarray:
     """(K, M^dim) samples a(n, xi) at K int64 lattice points n and the grid nodes xi.
 
-    The only place a pdo symbol is sampled: through a.rows when the symbol
-    has it, one scalar a.eval call per entry otherwise.
+    The only place a symbol is sampled on a grid: through a.rows when the
+    symbol has it, one scalar a.eval call per entry otherwise.
     """
     shape = (len(points), grid.node_count)
     check_budget(shape[0] * shape[1], "symbol samples", MAX_SYMBOL_SAMPLES)

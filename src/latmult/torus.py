@@ -92,6 +92,14 @@ def alias_free(points, resolution: int, window: Window | None = None) -> bool:
     return len(np.unique(np.mod(pts, M).astype(np.int64), axis=0)) == len(pts)
 
 
+def _boxes_fft(fft, boxes: np.ndarray) -> np.ndarray:
+    """np.fft.fft or ifft along each box axis of (R, M, ..., M), last axis first, as
+    fftn runs it; fftn(axes=...) costs more than the transform on small grids."""
+    for axis in range(boxes.ndim - 1, 0, -1):
+        boxes = fft(boxes, axis=axis)
+    return boxes
+
+
 def to_grid(values: np.ndarray, points: np.ndarray, grid: TorusGrid) -> np.ndarray:
     """sum_p e^{-2 pi i n_p.xi_j} values[r, p] at every node xi_j, for each row r.
 
@@ -103,11 +111,7 @@ def to_grid(values: np.ndarray, points: np.ndarray, grid: TorusGrid) -> np.ndarr
     R, M, dim = len(values), grid.resolution, grid.dim
     box = np.zeros((R,) + (M,) * dim, dtype=np.complex128)
     np.add.at(box, (np.arange(R)[:, None], *np.mod(points, M).T), values)
-    # fftn's own sequence of 1-D FFTs, last axis first; fftn(axes=...) costs
-    # more than the transform itself on small grids
-    for axis in range(dim, 0, -1):
-        box = np.fft.fft(box, axis=axis)
-    return box.reshape(R, -1)
+    return _boxes_fft(np.fft.fft, box).reshape(R, -1)
 
 
 def dft(f: LatticeSequence, grid: TorusGrid) -> TorusSamples:
@@ -125,7 +129,7 @@ def from_grid(rows: np.ndarray, points: np.ndarray, grid: TorusGrid) -> np.ndarr
     it; the result is (R, P), exact for any points.
     """
     R, M, dim = len(rows), grid.resolution, grid.dim
-    coeffs = np.fft.ifftn(rows.reshape((R,) + (M,) * dim), axes=range(1, dim + 1))
+    coeffs = _boxes_fft(np.fft.ifft, rows.reshape((R,) + (M,) * dim))
     idx = np.moveaxis(np.mod(points, M), -1, 0)
     return coeffs[(np.arange(R)[:, None], *idx)]
 
@@ -149,13 +153,6 @@ def lq_torus_norm(F: TorusSamples, q: float) -> float:
         raise ValueError(f"q must be >= 1, got {q}")
     mags = np.abs(F.values)
     return float((np.sum(mags**q) / F.grid.node_count) ** (1.0 / q))
-
-
-def sample_function(grid: TorusGrid, fn) -> TorusSamples:
-    """Evaluate a node-wise function xi -> complex on every grid node."""
-    nodes = grid.nodes()
-    vals = np.array([fn(x) for x in nodes], dtype=np.complex128)
-    return TorusSamples(grid, vals)
 
 
 def save_csv(F: TorusSamples, path) -> None:

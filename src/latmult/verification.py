@@ -193,20 +193,17 @@ def check_weak_young(seed: int = 42) -> CheckResult:
 
 
 def _band_symbol(rng: np.random.Generator) -> PdoSymbol:
-    """Random scalar symbol sum_{|u| <= 2} c_u(n) e^{2 pi i u xi}, band-limited in xi."""
+    """Random symbol sum_{|u| <= 2} c_u(n) e^{2 pi i u xi}, band-limited in xi, with
+    c_u(n) = a_u + b_u e^{2 pi i theta_u n} / (1 + |n|)."""
     coeffs = rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))
     thetas = rng.uniform(0.0, 1.0, 5)
+    u = np.arange(-2, 3)
 
-    def ev(n, xi):
-        total = 0j
-        for u in range(-2, 3):
-            c = coeffs[u + 2, 0] + coeffs[u + 2, 1] * np.exp(
-                2j * np.pi * thetas[u + 2] * n[0]
-            ) / (1.0 + abs(n[0]))
-            total += c * np.exp(2j * np.pi * u * xi[0])
-        return total
+    def formula(n, xi):  # (K, 1) points, (N, 1) torus points -> (K, N)
+        c = coeffs[:, 0] + coeffs[:, 1] * np.exp(2j * np.pi * thetas * n) / (1.0 + np.abs(n))
+        return c @ np.exp(2j * np.pi * u[:, None] * xi[:, 0])
 
-    return PdoSymbol(1, ev)
+    return catalog._array_pdo(1, formula)
 
 
 def check_conjugation(seed: int = 42) -> CheckResult:

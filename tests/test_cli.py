@@ -334,6 +334,8 @@ def test_scan_in_the_one_ulp_band_exits_2(capsys):
     ["scan", "--terms", "-5"],
     ["scan", "--terms", "0"],
     ["scan", "--q", "nan"],
+    ["scan", "--q", "inf"],
+    ["scan", "--p-range", "1.5,inf"],
 ])
 def test_non_finite_or_out_of_range_input_exits_2(argv, capsys):
     assert main(argv) == 2
@@ -628,3 +630,36 @@ def test_import_loads_no_test_only_packages():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+# 40-digit mpmath values of the defining sums; each printed nan, 0 or inf before
+@pytest.mark.parametrize("vals, flags, key, want", [
+    ([1.0, 0.5], ["--p", "2", "--r", "1e-4"], "seminorm", 1.0000060056807068034),
+    ([1.0, 0.5], ["--p", "2", "--r", "1e-300"], "seminorm", 1.0),
+    ([0.5], ["--p", "2000"], "lp", 0.5),
+    ([1e-200, 1e-200], ["--p", "2"], "lp", 1.4142135623730950235e-200),
+    ([0.5], ["--p", "1e300"], "seminorm", 0.5),
+    ([1e300, 1e300], ["--p", "2"], "lp", 1.4142135623730951231e300),
+])
+def test_norm_at_the_edges_of_the_float_range(tmp_path, capsys, vals, flags, key, want):
+    path = str(tmp_path / "f.jsonl")
+    save_jsonl(sequence(1, {(i,): v for i, v in enumerate(vals)}), path)
+    assert main(["norm", "--input", path, *flags]) == 0
+    got = json.loads(capsys.readouterr().out)
+    assert float(got[key]) == pytest.approx(want, rel=1e-13, abs=0)
+
+
+def test_apply_l2_summary_of_huge_values_is_finite(tmp_path, capsys):
+    path, out = str(tmp_path / "f.jsonl"), str(tmp_path / "g.jsonl")
+    save_jsonl(sequence(1, {(0,): 1e300, (1,): 1e300}), path)
+    assert main(["apply", "--input", path, "--out", out, "--window=-4:4"]) == 0
+    norms = json.loads(capsys.readouterr().out)["norms"]
+    assert float(norms["l2"]) == pytest.approx(1.4142135623730951231e300, rel=1e-13, abs=0)
+
+
+def test_a_norm_beyond_the_largest_float_exits_2(tmp_path, capsys):
+    path = str(tmp_path / "f.jsonl")
+    save_jsonl(sequence(1, {(0,): 1.7e308, (1,): 1.7e308}), path)
+    assert main(["norm", "--input", path, "--p", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "largest float" in captured.err

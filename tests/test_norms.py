@@ -8,13 +8,7 @@ from hypothesis import strategies as st
 
 from latmult.fractional import FractionalParams, fractional_kernel
 from latmult.lattice import add, delta, scale, sequence, translate
-from latmult.norms import (
-    distribution,
-    equivalent_seminorm,
-    lp_norm,
-    rearrangement,
-    weak_norm,
-)
+from latmult.norms import distribution, equivalent_seminorm, lp_norm, weak_norm
 from latmult.verification import _seminorm_subset_oracle
 
 
@@ -186,11 +180,9 @@ def test_sandwich_inequality():
 def test_rearrangement_profile_sorted():
     rng = np.random.default_rng(38)
     f = random_seq(rng)
-    prof = rearrangement(f)
-    assert prof.cardinality == len(f)
-    assert all(
-        a >= b for a, b in zip(prof.sorted_magnitudes, prof.sorted_magnitudes[1:])
-    )
+    fstar = f.rearranged
+    assert len(fstar) == len(f)
+    assert all(a >= b for a, b in zip(fstar, fstar[1:]))
 
 
 @given(
@@ -226,7 +218,7 @@ def test_nan_exponent_rejected(norm):
 def test_rearrangement_is_computed_once_and_read_only():
     f = fractional_kernel(FractionalParams(2, 0.6, 0.7), 1000)
     r = f.rearranged
-    assert f.rearranged is r and rearrangement(f).sorted_magnitudes is r
+    assert f.rearranged is r
     assert not r.flags.writeable
     with pytest.raises(ValueError):
         r[0] = 0.0
@@ -250,3 +242,53 @@ def test_norms_read_the_same_floats_from_the_cache(p):
     assert "rearranged" in vars(f)
     again = (weak_norm(f, p), equivalent_seminorm(f, p), equivalent_seminorm(f, p, p / 3))
     assert again == first
+
+
+def mp_norms(vals, p, r):
+    """lp, weak and seminorm of |vals| by their defining sums in mpmath, with
+    enough digits that x^r - 1 is resolved for tiny r."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40 + max(0, int(-math.log10(r)))):
+        m = sorted((mpmath.mpf(abs(v)) for v in vals), reverse=True)
+        p_, r_ = mpmath.mpf(p), mpmath.mpf(r)
+        lp = mpmath.fsum(x**p_ for x in m) ** (1 / p_)
+        weak = max(mpmath.mpf(j) ** (1 / p_) * x for j, x in enumerate(m, 1))
+        semi = max(mpmath.mpf(s) ** (1 / p_ - 1 / r_) * mpmath.fsum(x**r_ for x in m[:s])
+                   ** (1 / r_) for s in range(1, len(m) + 1))
+        return float(lp), float(weak), float(semi)
+
+
+# each gave a seminorm nan (r = 1e-4, 1e-300), an lp or seminorm 0, or an lp inf
+FLOAT_EDGES = [([1.0, 0.5], 2.0, 1e-4), ([1.0, 0.5], 2.0, 1e-300), ([0.5], 2000.0, None),
+               ([1e-200, 1e-200], 2.0, None), ([0.5], 1e300, None),
+               ([1e300, -1e300j], 2.0, None), ([3e-170, 1e-160, 2e-165], 2.0, 0.5)]
+
+
+@pytest.mark.parametrize("vals, p, r", FLOAT_EDGES)
+def test_norms_at_the_edges_of_the_float_range_match_mpmath(vals, p, r):
+    f = sequence(1, {(i,): v for i, v in enumerate(vals)})
+    got = (lp_norm(f, p), weak_norm(f, p), equivalent_seminorm(f, p, r))
+    want = mp_norms(vals, p, p / 2.0 if r is None else r)
+    assert got == pytest.approx(want, rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("vals, norm", [
+    ([1.7e308, 1.7e308], lambda f: lp_norm(f, 2.0)),
+    ([1.7e308, 1.7e308], lambda f: weak_norm(f, 2.0)),
+    ([1.7e308, 1.7e308], lambda f: equivalent_seminorm(f, 2.0, 1.0)),
+    ([1.0, 0.5], lambda f: weak_norm(f, 1e-300)),  # 2^{1e300} / 2
+    ([1.0, 0.5], lambda f: equivalent_seminorm(f, 1e-300, 5e-301)),
+], ids=["lp", "weak", "seminorm", "weak-tiny-p", "seminorm-tiny-p"])
+def test_a_norm_beyond_the_largest_float_raises(vals, norm):
+    with pytest.raises(ValueError, match="largest float"):
+        norm(sequence(1, {(i,): v for i, v in enumerate(vals)}))
+
+
+@pytest.mark.parametrize("r", [0.001, 0.01, 0.1, 0.5, 1.5])
+def test_seminorm_keeps_its_digits_at_small_r(r):
+    # the plain power 1/r multiplies the rounding of the prefix sums by 1/r
+    rng = np.random.default_rng(int(r * 1000))
+    vals = list(rng.standard_normal(12) * 10.0 ** rng.uniform(-2, 2, 12))
+    f = sequence(1, {(i,): v for i, v in enumerate(vals)})
+    want = mp_norms(vals, 2.0, r)[2]
+    assert equivalent_seminorm(f, 2.0, r) == pytest.approx(want, rel=1e-14, abs=0)

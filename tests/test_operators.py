@@ -341,12 +341,15 @@ def test_conjugation_residual_symbol_odd_in_n():
     assert conjugation_residual(a, GRID, WINDOW) < 1e-10
 
 
+BANDS = {f"band-{i}": _band_symbol(np.random.default_rng(70 + i)) for i in range(3)}
 CONJUGATION_SYMBOLS = {
     "one": constant_one_pdo(),
     "inverse-distance": inverse_distance_pdo(),
     "oscillating-decay": oscillating_decay_pdo(),
     "smooth-decay": smooth_decay_pdo(),
-    **{f"band-{i}": _band_symbol(np.random.default_rng(70 + i)) for i in range(3)},
+    **BANDS,
+    # the scalar route through the residual: each band symbol with eval only
+    **{f"{name}-scalar": PdoSymbol(1, sym.eval) for name, sym in BANDS.items()},
 }
 
 

@@ -16,6 +16,7 @@ from latmult import catalog
 from latmult.fractional import FractionalParams
 from latmult.lattice import Window, centered_window, sequence
 from latmult.operators import (
+    MultiplierSymbol,
     PdoSymbol,
     _symbol_rows,
     apply_pdo,
@@ -26,6 +27,7 @@ from latmult.operators import (
 )
 from latmult.symbols import _shell_points, cv_check, gohberg_decay
 from latmult.torus import TorusGrid, inverse_dft
+from latmult.verification import _band_symbol
 
 TOL = 1e-12
 
@@ -144,6 +146,45 @@ def test_multiplier_as_pdo_rows_broadcast_one_sample_row(dim):
     got = _symbol_rows(multiplier_as_pdo(catalog.kernel_multiplier(k)), pts, grid)
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= TOL
+
+
+def oracle_band(rng):
+    """verify's random band symbol as it was first written, one scalar call per entry."""
+    coeffs = rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))
+    thetas = rng.uniform(0.0, 1.0, 5)
+
+    def ev(n, xi):
+        total = 0j
+        for u in range(-2, 3):
+            c = coeffs[u + 2, 0] + coeffs[u + 2, 1] * np.exp(
+                2j * np.pi * thetas[u + 2] * n[0]
+            ) / (1.0 + abs(n[0]))
+            total += c * np.exp(2j * np.pi * u * xi[0])
+        return total
+
+    return ev
+
+
+@pytest.mark.parametrize("lo", [-8, 0, 10**6, 10**12])
+def test_band_symbol_rows_match_scalar_oracle(lo):
+    grid, pts = TorusGrid(1, 64), np.arange(lo, lo + 17, dtype=np.int64)[:, None]
+    for seed in range(10):
+        sym = _band_symbol(np.random.default_rng(seed))
+        want = scalar_rows(oracle_band(np.random.default_rng(seed)), pts.tolist(), grid)
+        got = _symbol_rows(dataclasses.replace(sym, eval=never), pts, grid)
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+        assert np.max(np.abs(scalar_rows(sym.eval, pts[:2].tolist(), grid) - want[:2])) <= (
+            1e-15 * np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("dim, M", [(1, 64), (2, 8)])
+def test_kernel_less_multiplier_samples_are_its_node_wise_eval(dim, M):
+    def ev(xi):
+        return np.exp(2j * np.pi * np.sin(2 * np.pi * xi).sum()) / (1.5 + np.cos(7 * xi[0]))
+
+    grid = TorusGrid(dim, M)
+    got = sample_multiplier(MultiplierSymbol(dim, ev), grid).values
+    assert got.tobytes() == scalar_samples(ev, grid).tobytes()
 
 
 def test_multiplier_as_pdo_section_keeps_exact_phases():
