@@ -49,7 +49,7 @@ def lp_norm(f: LatticeSequence, p: float) -> float:
         return float(np.max(mags))
     with np.errstate(all="ignore"):
         total = np.sum(mags**p)
-        if len(mags) * _TINY <= total < math.inf:  # no overflow, underflow below an ulp
+        if len(mags) * _TINY <= total < math.inf:  # no overflow; all underflow < an ulp
             return float(total ** (1.0 / p))
         top = np.max(mags)
         return _finite(float(top * np.sum((mags / top) ** p) ** (1.0 / p)))
@@ -92,12 +92,12 @@ def equivalent_seminorm(f: LatticeSequence, p: float, r: float | None = None) ->
     s = np.arange(1, len(fstar) + 1, dtype=np.float64)
     with np.errstate(all="ignore"):
         prefix = np.cumsum(fstar**r)
-        size, mass = s ** (1.0 / p - 1.0 / r), prefix ** (1.0 / r)
-        # size falls and mass rises with s, so their ends bound every factor; below
-        # r = 1/8 the power 1/r would multiply the rounding of the sums too far
-        if (r >= 0.125 and len(s) * _TINY <= prefix[0] and size[-1] >= _TINY
-                and mass[0] >= _TINY and mass[-1] < math.inf):
-            value = float(np.max(size * mass))
+        # s^{1/p-1/r} falls and prefix^{1/r} rises with s, so their ends bound every
+        # factor; below r = 1/8 the power 1/r would multiply the sums' rounding too far
+        low, high = prefix[[0, -1]] ** (1.0 / r)
+        if (r >= 0.125 and len(s) * _TINY <= prefix[0] and low >= _TINY and high < math.inf
+                and len(s) ** (1.0 / p - 1.0 / r) >= _TINY):
+            value = float(np.max(s ** (1.0 / p - 1.0 / r) * prefix ** (1.0 / r)))
             if value < math.inf:
                 return value
         # the s-th value is f*_1 s^{1/p} (mean_{i<=s} t_i^r)^{1/r} with t = f*/f*_1;
