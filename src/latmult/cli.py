@@ -10,6 +10,7 @@ serialized with 17 significant digits.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -347,7 +348,13 @@ def cmd_verify(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first call; do not modify it.
+
+    argparse keeps no parse state on a parser: each parse_args returns a fresh
+    Namespace, so main() can be called any number of times in-process.
+    """
     parser = argparse.ArgumentParser(
         prog="latmult",
         description="Fourier multipliers and pseudo-differential operators on Z^n",

@@ -101,10 +101,16 @@ def _zeta_tail(s: float, N: int) -> float:
 
 def _kernel(params: FractionalParams, first: int, last: int) -> LatticeSequence:
     """Kernel terms m^{-decay} e^{-i gamma ln m} at m^power, first <= m <= last."""
-    check_budget(last - first + 1, "kernel terms")
-    m = np.arange(first, last + 1, dtype=np.int64)
-    if last**params.power > np.iinfo(np.int64).max:
-        m = m.astype(object)  # exact Python-int powers
+    terms = last - first + 1
+    check_budget(terms, "kernel terms")
+    top = last**params.power
+    exact = top > np.iinfo(np.int64).max  # Python-int powers
+    if exact:
+        # a term then peaks at its index's size plus about 64 B (tracemalloc), so
+        # it is charged that many of the budget's 16-byte elements
+        per_term = -(-(sys.getsizeof(top) + 64) // 16)
+        check_budget(terms * per_term, "16-byte elements for kernel terms with Python-int indices")
+    m = np.arange(first, last + 1, dtype=object if exact else np.int64)
     coeff = _coefficients(params, np.arange(first, last + 1, dtype=np.float64))
     return LatticeSequence((m**params.power)[:, None], coeff)
 

@@ -38,6 +38,22 @@ def _times_exp(scale: float, x: float) -> float:
         return _finite(float(scale * np.exp(x) if x < 700 else np.exp(x + np.log(scale))))
 
 
+def power_mean(mags: np.ndarray, p: float, count: int = 1) -> float:
+    """((1/count) sum mags^p)^{1/p} of nonempty magnitudes, for 1 <= p < inf.
+
+    The plain formula where it stays finite and all its underflow is below an
+    ulp, else scaled by the largest magnitude.
+    """
+    with np.errstate(all="ignore"):
+        total = np.sum(mags**p)
+        if len(mags) * _TINY <= total < math.inf:  # no overflow; all underflow < an ulp
+            return float((total / count) ** (1.0 / p))
+        top = np.max(mags)
+        if top == 0:
+            return 0.0
+        return _finite(float(top * (np.sum((mags / top) ** p) / count) ** (1.0 / p)))
+
+
 def lp_norm(f: LatticeSequence, p: float) -> float:
     """(sum |f|^p)^{1/p}, exact finite sum over the support; max |f| at p = inf."""
     if not p >= 1:
@@ -47,12 +63,7 @@ def lp_norm(f: LatticeSequence, p: float) -> float:
         return 0.0
     if p == np.inf:
         return float(np.max(mags))
-    with np.errstate(all="ignore"):
-        total = np.sum(mags**p)
-        if len(mags) * _TINY <= total < math.inf:  # no overflow; all underflow < an ulp
-            return float(total ** (1.0 / p))
-        top = np.max(mags)
-        return _finite(float(top * np.sum((mags / top) ** p) ** (1.0 / p)))
+    return power_mean(mags, p)
 
 
 def distribution(f: LatticeSequence, alpha: float) -> int:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import LatticeSequence, Window, exact_indices, from_arrays
+from .norms import power_mean
 
 MAX_NODES = 2**22
 
@@ -151,8 +152,7 @@ def lq_torus_norm(F: TorusSamples, q: float) -> float:
     """Riemann-sum L^q(T^n) norm ((1/M^n) sum |F|^q)^{1/q}."""
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
-    mags = np.abs(F.values)
-    return float((np.sum(mags**q) / F.grid.node_count) ** (1.0 / q))
+    return power_mean(np.abs(F.values), q, F.grid.node_count)
 
 
 def save_csv(F: TorusSamples, path) -> None:

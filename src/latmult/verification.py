@@ -30,7 +30,7 @@ from .lattice import (
     centered_window,
     convolve,
     delta,
-    sequence,
+    from_arrays,
     translate,
 )
 from .norms import equivalent_seminorm, lp_norm, weak_norm
@@ -60,13 +60,13 @@ def _random_sequence(rng, span: int = 6, max_points: int = 8) -> LatticeSequence
     count = int(rng.integers(1, max_points + 1))
     points = rng.choice(np.arange(-span, span + 1), size=count, replace=False)
     vals = rng.standard_normal(count) + 1j * rng.standard_normal(count)
-    return sequence(1, {(int(p),): complex(v) for p, v in zip(points, vals)})
+    return from_arrays(points[:, None], vals)
 
 
 def _random_kernel(rng, span: int = 4) -> LatticeSequence:
     points = np.arange(-span, span + 1)
     vals = rng.standard_normal(len(points)) + 1j * rng.standard_normal(len(points))
-    return sequence(1, {(int(p),): complex(v) for p, v in zip(points, vals)})
+    return from_arrays(points[:, None], vals)
 
 
 def _kernel_weak_l2(k: int, decay: float, terms: int, fault: str | None = None) -> float:

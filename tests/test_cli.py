@@ -219,6 +219,38 @@ def test_kernel_beyond_int64_writes_exact_indices(tmp_path, capsys):
     assert kern.support()[-1] == (10**20,) and kern[10**20] == pytest.approx(1e-2)
 
 
+def test_kernel_with_python_int_indices_is_charged_its_footprint(tmp_path):
+    # 2^26 terms at k = 3 pass int64 and would take about 100 B each: refused at once.
+    # A child with an address-space limit runs it, so that without the charge it
+    # fails by MemoryError rather than taking 6.7 GB.
+    code = ("import sys, tracemalloc\n"
+            "from latmult.cli import main\n"
+            "tracemalloc.start()\n"
+            "rc = main(sys.argv[1:])\n"
+            "print(rc, tracemalloc.get_traced_memory()[1])")
+    src = str(Path(latmult.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    argv = ["kernel", "--k", "3", "--max-m", str(2**26), "--out", "k.jsonl"]
+    run = subprocess.run([sys.executable, "-c", code, *argv], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=60,
+                         preexec_fn=_one_gib_address_space)
+    assert run.returncode == 0, run.stderr
+    rc, peak = map(int, run.stdout.split())
+    assert rc == 2 and peak < 8 * 2**20 and not (tmp_path / "k.jsonl").exists()
+    assert "size budget" in run.stderr
+
+
+@pytest.mark.parametrize("k, max_m", [(5, 10000), (20, 1000), (512, 40)])
+def test_the_python_int_kernel_charge_covers_its_peak(k, max_m):
+    tracemalloc.start()
+    try:
+        fractional_kernel(FractionalParams(k, 0.5), max_m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= max_m * 16 * -(-(sys.getsizeof(max_m**k) + 64) // 16)
+
+
 def test_apply_unwritable_output_exits_4(seq_file, tmp_path):
     _, path = seq_file
     rc = main(
@@ -630,6 +662,51 @@ def test_import_loads_no_test_only_packages():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_back_to_back_main_calls_share_no_state(seq_file, tmp_path, capsys):
+    f, path = seq_file
+    moved, plain = str(tmp_path / "moved.jsonl"), str(tmp_path / "plain.jsonl")
+    assert main(["apply", "--input", path, "--out", moved, "--symbol", "modulation",
+                 "--shift", "3", "--window=-8:12"]) == 0
+    assert main(["apply", "--input", path, "--out", plain, "--window=-8:12"]) == 0
+    # the second call is the identity: no --symbol or --shift carried over
+    for out, expect in ((moved, translate(f, 3)), (plain, f)):
+        got = load_jsonl(out)
+        assert all(abs(got[(n,)] - expect[(n,)]) < 1e-12 for n in range(-8, 13))
+    capsys.readouterr()
+    classify = ["classify", "--k", "1", "--lam", "0.5", "--p", "2"]
+    assert main(classify) == 0
+    first = capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(classify[:-2])  # --p is required
+    assert exc.value.code == 2 and "--p" in capsys.readouterr().err
+    assert main(classify) == 0
+    assert capsys.readouterr() == first
+
+
+def test_the_parser_is_built_on_the_first_call_only():
+    # importing the CLI builds nothing (it is imported in every benchmark set-up);
+    # the first main() builds the parser, later calls reuse it
+    code = ("import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counted(self, *args, **kwargs):\n"
+            "    built.append(self)\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counted\n"
+            "import latmult.cli\n"
+            "counts = [len(built)]\n"
+            "for _ in range(3):\n"
+            "    latmult.cli.main(['classify', '--k', '1', '--lam', '0.5', '--p', '2'])\n"
+            "    counts.append(len(built))\n"
+            "print(counts)")
+    src = str(Path(latmult.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    counts = json.loads(out.splitlines()[-1])
+    assert counts[0] == 0 and counts[1] > 0 and counts[1:] == [counts[1]] * 3
 
 
 # 40-digit mpmath values of the defining sums; each printed nan, 0 or inf before

@@ -126,6 +126,17 @@ def test_lq_norm_parseval_two_deltas():
         assert lq_torus_norm(F, 2.0) == pytest.approx(np.sqrt(2), rel=1e-13)
 
 
+@pytest.mark.parametrize("c", [1e200, 1e-200])
+@pytest.mark.parametrize("q", [1.0, 2.0, 4.0])
+def test_lq_norm_of_a_constant_at_the_edges_of_the_float_range(c, q):
+    # the plain sum of |F|^q gave inf (with a RuntimeWarning) at 1e200 and 0 at 1e-200, q = 2
+    assert lq_torus_norm(TorusSamples(TorusGrid(1, 4), np.full(4, c)), q) == c
+
+
+def test_lq_norm_of_zero_samples_is_zero():
+    assert lq_torus_norm(TorusSamples(TorusGrid(2, 4), np.zeros(16)), 2.0) == 0.0
+
+
 def test_lq_norm_rejects_small_q():
     grid = TorusGrid(1, 4)
     with pytest.raises(ValueError):
