@@ -19,9 +19,9 @@ from .operators import MultiplierSymbol, PdoSymbol
 
 def kernel_multiplier(k: LatticeSequence) -> MultiplierSymbol:
     """Band-limited symbol dft(k), evaluated exactly from the finite kernel."""
-    idx, val = k.arrays()
 
     def ev(xi):
+        idx, val = k.arrays()  # int64 only; the kernel itself may reach beyond
         return complex(np.exp(-2j * np.pi * (idx @ xi)) @ val)
 
     return MultiplierSymbol(k.dim, ev, k)

@@ -2,9 +2,9 @@
 
 Subcommands: apply, kernel, norm, opnorm, classify, scan, kstar, gohberg,
 spectrum, verify.  Exit codes: 0 success, 1 verification failure, 2 argument
-or parse errors, 3 contract violations (aliasing certificate), 4 unwritable
-output.  All output is deterministic given flags and seed; floats are
-serialized with 17 significant digits.
+or parse errors, 3 contract violations (the aliasing certificate of apply), 4
+unwritable output.  All output is deterministic given flags and seed; floats
+are serialized with 17 significant digits.
 """
 
 from __future__ import annotations
@@ -67,15 +67,6 @@ def _parse_window(spec: str, dim: int) -> Window:
         lo.append(int(a))
         hi.append(int(b))
     return box(tuple(lo), tuple(hi))
-
-
-def _aliased(points, window: Window, resolution: int) -> bool:
-    """Report and return True when two of points and window collide mod the grid."""
-    if alias_free(points, resolution, window):
-        return False
-    msg = f"aliasing certificate failed: support and window collide mod {resolution}"
-    print(f"error: {msg}", file=sys.stderr)
-    return True
 
 
 def _norm_summary(f) -> dict:
@@ -146,7 +137,9 @@ def cmd_apply(args) -> int:
             samples = sample_multiplier(m, grid)
             # t_m f lives on supp f + supp kernel, which must not alias the window
             points = np.concatenate([points, sum_points(points, m.kernel.arrays()[0])])
-        if _aliased(points, window, grid.resolution):
+        if not alias_free(points, grid.resolution, window):
+            msg = f"support and window collide mod {grid.resolution}"
+            print(f"error: aliasing certificate failed: {msg}", file=sys.stderr)
             return 3
         F = dft(f, grid)
         out = inverse_dft(TorusSamples(grid, samples.values * F.values), window)
@@ -188,9 +181,6 @@ def cmd_opnorm(args) -> int:
         m = catalog.modulation_multiplier(shift)
     grid = TorusGrid(m.dim, args.grid_res)
     window = centered_window(args.window_radius, m.dim)
-    # the kernel is read on the dilated window that the certificate uses
-    if _aliased(m.kernel.arrays()[0], window.dilate(3), grid.resolution):
-        return 3
     weak = opnorm_l1_weakp(m, args.p, grid, window)
     strong = opnorm_l1_lp(m, args.p, grid, window)
     result = {
@@ -403,8 +393,9 @@ def build_parser() -> argparse.ArgumentParser:
     frac_opts(p)
     p.add_argument("--terms", type=int, default=100)
     p.add_argument("--p", type=float, default=2.0)
-    p.add_argument("--grid-res", type=int, default=256)
-    p.add_argument("--window-radius", type=int, default=16)
+    no_effect = "no effect on the built-in symbols, which carry their kernels"
+    p.add_argument("--grid-res", type=int, default=256, help=no_effect)
+    p.add_argument("--window-radius", type=int, default=16, help=no_effect)
     p.set_defaults(func=cmd_opnorm)
 
     p = sub.add_parser("classify", help="boundedness classification")

@@ -2,10 +2,10 @@
 
 Operators are applied either on the frequency side (quadrature of the
 xi-integral against the dft of the input) or on the kernel side (exact
-convolution, lattice.convolve).  Finite sections are dense matrices on a window; the l^1 ->
-l^{p,inf} and l^1 -> l^p operator norms come for free from the kernel, since
-both equal the corresponding norm of k = F^{-1} m and are attained by delta
-inputs.
+convolution, lattice.convolve).  Finite sections are dense matrices on a
+window.  The l^1 -> l^{p,inf} and l^1 -> l^p operator norms are the norms of
+k = F^{-1} m, attained by delta inputs: exact when m carries k, else read off a
+grid with a truncation certificate.
 
 Symbols are sampled at the nodes of a grid, by one function: _symbol_rows
 samples a pdo symbol (or a toroidal one, through a pdo adapter) on (lattice
@@ -150,8 +150,9 @@ def pdo_matrix(a: PdoSymbol, window: Window, grid: TorusGrid) -> OperatorMatrix:
 class OpNormEstimate:
     """Operator-norm value with a truncation certificate.
 
-    certified=False means l^1 mass escaped the dilated kernel window, so the
-    value is only a lower bound on the true norm over all of Z^n.
+    Exact, certified and with nothing discarded when the multiplier carries its
+    kernel.  Otherwise certified=False means l^1 mass escaped the dilated kernel
+    window, so the value is only a lower bound on the true norm over all of Z^n.
     """
 
     value: float
@@ -162,6 +163,8 @@ class OpNormEstimate:
 def _kernel_with_certificate(
     m: MultiplierSymbol, grid: TorusGrid, window: Window
 ) -> tuple[LatticeSequence, bool, float]:
+    if m.kernel is not None:
+        return m.kernel, True, 0.0
     # Kernel computed on a 3x-radius window; the margin shell must carry
     # less than 1e-9 of the total l^1 mass for the truncation to be certified.
     wide = window.dilate(3)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import resource
 import subprocess
@@ -119,11 +120,50 @@ def test_apply_window_beyond_int64_exits_2(tmp_path, capsys):
     assert "int64" in capsys.readouterr().err
 
 
-def test_opnorm_readme_example_aliases_and_exits_3(capsys):
-    # support reaches 100^2 on a 256-point grid: the kernel folds onto itself
-    rc = main(["opnorm", "--symbol", "fractional", "--k", "2", "--lam", "0.5", "--p", "2"])
-    assert rc == 3
-    assert "aliasing" in capsys.readouterr().err
+def _opnorm(capsys, *flags) -> dict:
+    assert main(["opnorm", *flags]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def _within_ulps(got: str, want, ulps: int) -> bool:
+    return abs(float(got) - float(want)) <= ulps * math.ulp(float(want))
+
+
+def test_opnorm_readme_example_is_exact_and_certified(capsys):
+    # support reaches 100^2, past the default 256-point grid: the kernel's own
+    # norms need no grid, so nothing aliases
+    res = _opnorm(capsys, "--symbol", "fractional", "--k", "2", "--lam", "0.5", "--p", "2")
+    assert res["certified"] is True and res["discarded_mass"] == "0"
+    assert _within_ulps(res["l1_to_lp"], "2.27758150625605938", 4)  # sqrt(H_100), mpmath
+
+
+@pytest.mark.parametrize("k, lam, p, terms", [
+    (2, 0.5, 2, 10), (2, 0.5, 2, 100), (1, 0.5, 2, 100), (3, 0.25, 4, 50), (40, 0.5, 2, 10),
+])
+def test_opnorm_kernel_norms_match_mpmath(capsys, k, lam, p, terms):
+    # lam = 1/p: the weak norm is 1 and the strong one (sum_{m <= terms} 1/m)^(1/p)
+    mpmath = pytest.importorskip("mpmath")
+    res = _opnorm(capsys, "--k", str(k), "--lam", str(lam), "--p", str(p),
+                  "--terms", str(terms))
+    with mpmath.workdps(30):
+        want = mpmath.harmonic(terms) ** (mpmath.mpf(1) / p)
+    assert _within_ulps(res["l1_to_lp"], want, 4)
+    assert _within_ulps(res["l1_to_weak_lp"], 1.0, 1)
+    assert res["certified"] is True and res["discarded_mass"] == "0"
+
+
+@pytest.mark.parametrize("flags", [["--grid-res", "0"], ["--window-radius", "-1"],
+                                   ["--grid-res", "5000000"]])
+def test_opnorm_still_validates_the_grid_and_window(flags, capsys):
+    assert main(["opnorm", *flags]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_opnorm_modulation_beyond_int64_is_one(capsys):
+    # used to exit 2: the multiplier read its kernel as int64 arrays when built
+    res = _opnorm(capsys, "--symbol", "modulation", "--shift", "99999999999999999999",
+                  "--p", "2")
+    assert (res["l1_to_weak_lp"], res["l1_to_lp"], res["certified"]) == ("1", "1", True)
 
 
 def test_opnorm_alias_free_fractional_is_certified(capsys):

@@ -29,6 +29,7 @@ from latmult.norms import lp_norm, weak_norm
 from latmult.operators import (
     MultiplierSymbol,
     OperatorMatrix,
+    OpNormEstimate,
     PdoSymbol,
     apply_multiplier,
     apply_pdo,
@@ -271,10 +272,37 @@ def test_opnorm_lp_delta_inputs_attain_it():
 
 
 def test_opnorm_uncertified_when_mass_escapes():
-    # kernel mass in the dilated shell: truncation to the window is lossy
+    # a multiplier without a kernel: its kernel is read off the grid, and the
+    # mass in the dilated shell makes the truncation to the window lossy
     k = sequence(1, {(0,): 1.0, (4,): 1.0})
-    est = opnorm_l1_weakp(kernel_multiplier(k), 2.0, TorusGrid(1, 128), centered_window(2))
+    m = MultiplierSymbol(1, kernel_multiplier(k).eval)
+    est = opnorm_l1_weakp(m, 2.0, TorusGrid(1, 128), centered_window(2))
     assert not est.certified
+
+
+@pytest.mark.parametrize("make", [
+    lambda: fractional_multiplier(FractionalParams(2, 0.5), 100),
+    lambda: fractional_multiplier(FractionalParams(1, 0.7, 0.3), 40),
+    lambda: modulation_multiplier((301,)),
+    lambda: fractional_multiplier(FractionalParams(40, 0.5), 10),  # indices beyond int64
+], ids=["k2", "k1-gamma", "modulation", "k40"])
+def test_kernel_backed_opnorms_are_the_kernel_norms_on_any_grid(make):
+    # a one-point window on a 4-node grid: the kernel's points alias and lie
+    # outside the window, yet its norms are exact
+    m = make()
+    for p in (1.5, 2.0, 3.0):
+        weak = opnorm_l1_weakp(m, p, TorusGrid(1, 4), centered_window(0))
+        strong = opnorm_l1_lp(m, p, TorusGrid(1, 4), centered_window(0))
+        assert weak == OpNormEstimate(weak_norm(m.kernel, p), True, 0.0)
+        assert strong == OpNormEstimate(lp_norm(m.kernel, p), True, 0.0)
+
+
+def test_a_kernel_beyond_int64_has_no_grid_samples():
+    m = fractional_multiplier(FractionalParams(40, 0.5), 10)
+    with pytest.raises(ValueError, match="int64"):
+        m.eval(np.array([0.25]))
+    with pytest.raises(ValueError, match="int64"):
+        sample_multiplier(m, GRID)
 
 
 def test_opnorm_l2_identity_and_diagonal():
