@@ -27,7 +27,6 @@ from .fractional import (
     classify_weak_and_strong,
     fractional_kernel,
     kstar_norm_probe,
-    kstar_resolution,
     strong_norm_closed_form,
     weak_norm_closed_form,
     zeta,
@@ -295,8 +294,7 @@ def cmd_kstar(args) -> int:
     terms_list = [int(x) for x in args.terms_list.split(",")]
     lines = ["k,lambda,M,l2k_norm"]
     for terms in terms_list:
-        grid = TorusGrid(1, kstar_resolution(args.k, terms))
-        value = kstar_norm_probe(args.k, args.lam, terms, grid)
+        value = kstar_norm_probe(args.k, args.lam, terms)
         lines.append(f"{args.k},{_fmt(args.lam)},{terms},{_fmt(value)}")
     return _save(_write_text, "\n".join(lines) + "\n", args.out)
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import (
+    MAX_ELEMENTS,
     LatticeSequence,
     Window,
     check_budget,
@@ -24,12 +25,16 @@ from .lattice import (
     restrict,
     sequence,
 )
-from .torus import MAX_NODES, TorusGrid, TorusSamples, lq_torus_norm, to_grid
+from .torus import TorusGrid, TorusSamples, to_grid
 
 
 # Kernel terms run to m <= lattice.MAX_ELEMENTS = 2^26, so an index m^power
 # has at most 26 * 512 = 13312 bits, 4008 decimal digits.
 MAX_POWER = 512
+
+# kstar_norm_probe peaks at 56 B per k-tuple at k = 1 and 40 B at k >= 2
+# (tracemalloc), so each tuple is charged 4 of the budget's 16-byte elements.
+KSTAR_TUPLE_ELEMENTS = 4
 
 
 @dataclass(frozen=True)
@@ -288,42 +293,33 @@ def symbol_partial_sum(
     return SymbolPartialSum(TorusSamples(grid, vals), terms, tail)
 
 
-def kstar_resolution(k: int, terms: int) -> int:
-    """k(terms^k - 1) + 1: the fewest nodes on which the probe's Riemann sum is exact.
-
-    |S|^{2k} = |S^k|^2 and S^k has frequencies k ... k terms^k, so the sum
-    over M nodes equals the integral exactly when no nonzero frequency
-    difference, at most k(terms^k - 1), is a multiple of M.  Raises
-    ValueError for k < 1, terms < 1, or a grid over torus.MAX_NODES; the last
-    is decided from bit lengths before terms^k is formed.
-    """
-    if k < 1 or terms < 1:
-        raise ValueError(f"k and terms must be >= 1, got k={k}, terms={terms}")
-    # terms^k >= 2^{k (bits - 1)}, so past this bound the grid is too large
-    if k * (terms.bit_length() - 1) > MAX_NODES.bit_length():
-        raise ValueError(f"k={k}, terms={terms} needs over {MAX_NODES} grid nodes")
-    nodes = k * (terms**k - 1) + 1
-    if nodes > MAX_NODES:
-        raise ValueError(f"k={k}, terms={terms} needs {nodes} grid nodes, cap is {MAX_NODES}")
-    return nodes
-
-
-def kstar_norm_probe(
-    k: int, lam: float, terms: int, grid: TorusGrid
-) -> float:
+def kstar_norm_probe(k: int, lam: float, terms: int, grid: TorusGrid | None = None) -> float:
     """L^{2k}(T) norm of the truncated symbol, the Hypothesis-K* diagnostic.
 
-    Purely a probe: no convergence in `terms` is asserted anywhere.  The grid
-    needs at least kstar_resolution(k, terms) = k(terms^k - 1) + 1 nodes, where
-    the Riemann sum of |S|^{2k} is the integral exactly.
+    ||S||_{2k}^{2k} = sum_n r(n)^2 by Parseval, where r(n) sums prod m_i^{-lam}
+    over the k-tuples 1 <= m_i <= terms with m_1^k + ... + m_k^k = n.  All
+    terms^k tuples are formed and their weights added per n; no grid is
+    sampled, and `grid` is ignored (kept for callers that pass it).  Purely a
+    probe: no convergence in `terms` is asserted anywhere.  ValueError unless
+    1/2 < lam < 1, 1 <= k <= MAX_POWER, terms >= 1 and the tuples fit the size
+    budget, all decided before any array is allocated.
     """
     if not 0.5 < lam < 1:
         raise ValueError(f"lam must lie in (1/2, 1), got {lam}")
-    need = kstar_resolution(k, terms)
-    if grid.resolution < need:
-        raise ValueError(
-            f"resolution {grid.resolution} too small for k={k}, terms={terms}; "
-            f"need at least {need}"
-        )
-    ps = symbol_partial_sum(FractionalParams(k, lam), terms, grid)
-    return lq_torus_norm(ps.samples, 2.0 * k)
+    FractionalParams(k, lam)
+    if terms < 1:
+        raise ValueError(f"terms must be >= 1, got {terms}")
+    # terms^k >= 2^{k (bits - 1)}, so past this bound the tuples are over budget
+    if k * (terms.bit_length() - 1) > MAX_ELEMENTS.bit_length():
+        raise ValueError(f"k={k}, terms={terms}: over {MAX_ELEMENTS} k-tuples")
+    check_budget(terms**k * KSTAR_TUPLE_ELEMENTS, "16-byte elements for K* k-tuples")
+    # within budget terms^k <= 2^24 and k <= 24 unless terms = 1, so every n fits int64
+    powers, weights = np.arange(1, terms + 1) ** k, np.arange(1, terms + 1) ** -lam
+    n, w = powers, weights
+    for _ in range(k - 1):
+        n = (n[:, None] + powers).ravel()
+        w = (w[:, None] * weights).ravel()
+    order = np.argsort(n)
+    n, w = n[order], w[order]
+    r = np.add.reduceat(w, np.flatnonzero(np.diff(n, prepend=0)))
+    return math.fsum(r * r) ** (1.0 / (2 * k))

@@ -24,7 +24,7 @@ import numpy as np
 
 from .lattice import LatticeSequence, Window, check_budget, from_arrays
 from .norms import lp_norm, weak_norm
-from .torus import TorusGrid, TorusSamples, dft, from_grid, inverse_dft, to_grid
+from .torus import TorusGrid, TorusSamples, dft, from_grid, inverse_dft, lq_torus_norm, to_grid
 
 MATRIX_CAP = 4096
 # Largest (lattice points) x (grid nodes) array of pdo symbol samples, 64 MiB.
@@ -152,7 +152,8 @@ class OpNormEstimate:
 
     Exact, certified and with nothing discarded when the multiplier carries its
     kernel.  Otherwise certified=False means l^1 mass escaped the dilated kernel
-    window, so the value is only a lower bound on the true norm over all of Z^n.
+    window, seen in its shell or as l^2 mass on the grid (Parseval) beyond it,
+    so the value is only a lower bound on the true norm over all of Z^n.
     """
 
     value: float
@@ -165,13 +166,17 @@ def _kernel_with_certificate(
 ) -> tuple[LatticeSequence, bool, float]:
     if m.kernel is not None:
         return m.kernel, True, 0.0
-    # Kernel computed on a 3x-radius window; the margin shell must carry
-    # less than 1e-9 of the total l^1 mass for the truncation to be certified.
+    # Kernel computed on a 3x-radius window; the margin shell must carry less
+    # than 1e-9 of the total l^1 mass, and the window the grid's Parseval mass
+    # to 1e-9 (the shell misses a kernel that jumps past it), to be certified.
     wide = window.dilate(3)
-    k = inverse_dft(sample_multiplier(m, grid), wide)
+    samples = sample_multiplier(m, grid)
+    k = inverse_dft(samples, wide)
     total = lp_norm(k, 1)
     shell = sum(k.magnitudes()[~window.contains(k.idx)].tolist())
-    certified = total == 0 or shell < 1e-9 * total
+    parseval = lq_torus_norm(samples, 2.0) ** 2
+    certified = abs(parseval - lp_norm(k, 2) ** 2) <= 1e-9 * parseval and (
+        total == 0 or shell < 1e-9 * total)
     return k, certified, shell
 
 

@@ -400,8 +400,7 @@ def check_kstar_parseval() -> CheckResult:
     """Criterion 11: K* probe reproduces the Parseval value in the q=2 case."""
     t0 = time.perf_counter()
     terms = 50
-    grid = TorusGrid(1, 128)
-    probe = kstar_norm_probe(1, 0.8, terms, grid)
+    probe = kstar_norm_probe(1, 0.8, terms)
     m = np.arange(1, terms + 1, dtype=np.float64)
     parseval = math.sqrt(float(np.sum(m ** (-1.6))))
     err = abs(probe - parseval)

@@ -527,12 +527,27 @@ def test_kstar_at_k_three_is_exact(capsys):
     ("-1", "0"),  # used to raise ZeroDivisionError
     ("0", "5"),
     ("1", "0"),
-    ("3", "200"),  # 24 million nodes
+    ("3", "1000"),  # 10^9 k-tuples
     ("99999999999999999999", "5"),  # used to hang forming terms^k
 ])
 def test_kstar_rejects_bad_k_and_terms_with_exit_2(k, terms, capsys):
     assert main(["kstar", "--k", k, "--terms-list", terms]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("terms", ["1000", "99999999999999999999"])
+def test_kstar_over_the_tuple_budget_exits_2_at_once(terms, capsys):
+    rc, peak = _traced_exit(["kstar", "--k", "3", "--terms-list", terms])
+    assert rc == 2 and peak < 8 * 2**20
+    assert "k-tuples" in capsys.readouterr().err
+
+
+def test_kstar_at_k_three_reaches_past_the_old_grid_cap(capsys):
+    # 111 terms was the most that 2^22 grid nodes allowed at k = 3
+    assert main(["kstar", "--k", "3", "--terms-list", "111,200"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert [r[2] for r in rows] == ["111", "200"]
+    assert float(rows[1][3]) > float(rows[0][3])
 
 
 HUGE_K = "99999999999999999999"

@@ -1,12 +1,14 @@
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from latmult.cli import main
 from latmult.fractional import (
+    KSTAR_TUPLE_ELEMENTS,
     FractionalParams,
     _zeta_tail,
     apply_fractional,
@@ -14,7 +16,6 @@ from latmult.fractional import (
     classify_weak_and_strong,
     fractional_kernel,
     kstar_norm_probe,
-    kstar_resolution,
     strong_norm_closed_form,
     symbol_partial_sum,
     weak_norm_closed_form,
@@ -22,7 +23,7 @@ from latmult.fractional import (
 )
 from latmult.lattice import box, convolve, delta, sequence
 from latmult.norms import lp_norm, weak_norm
-from latmult.torus import TorusGrid, dft
+from latmult.torus import TorusGrid, dft, lq_torus_norm
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -266,11 +267,7 @@ def test_kstar_probe_parseval_at_k_one():
 
 def test_kstar_probe_guards():
     with pytest.raises(ValueError):
-        kstar_norm_probe(2, 0.8, 10, TorusGrid(1, 64))  # grid too coarse
-    with pytest.raises(ValueError):
         kstar_norm_probe(1, 0.4, 4, TorusGrid(1, 64))  # lam out of range
-    with pytest.raises(ValueError, match="need at least 373"):
-        kstar_norm_probe(3, 0.8, 5, TorusGrid(1, 372))  # 2 terms^k = 250 nodes alias at k = 3
 
 
 def _kstar_by_representations(k, lam, terms):
@@ -285,15 +282,44 @@ def _kstar_by_representations(k, lam, terms):
 
 @pytest.mark.parametrize("k, terms", [(3, 5), (3, 10), (4, 4), (2, 10)])
 def test_kstar_probe_equals_the_representation_sum(k, terms):
-    # Parseval: ||S||_{2k}^{2k} = sum_n r(n)^2, exact on k(terms^k - 1) + 1 nodes
-    grid = TorusGrid(1, kstar_resolution(k, terms))
-    got = kstar_norm_probe(k, 0.8, terms, grid)
+    # Parseval: ||S||_{2k}^{2k} = sum_n r(n)^2
+    got = kstar_norm_probe(k, 0.8, terms)
     assert got == pytest.approx(_kstar_by_representations(k, 0.8, terms), rel=1e-13)
 
 
-def test_kstar_resolution():
-    assert [kstar_resolution(k, t) for k, t in [(3, 5), (3, 10), (1, 7)]] == [373, 2998, 7]
-    assert kstar_resolution(10**30, 1) == 1
-    for k, terms in [(0, 5), (-1, 0), (1, 0), (3, 200), (10**20, 5)]:
+def _kstar_on_the_grid(k, lam, terms):
+    """||S||_{2k} as the Riemann sum on k(terms^k - 1) + 1 nodes, where it is exact:
+    no nonzero frequency difference of S^k is a multiple of the node count."""
+    grid = TorusGrid(1, k * (terms**k - 1) + 1)
+    return lq_torus_norm(symbol_partial_sum(FractionalParams(k, lam), terms, grid).samples, 2 * k)
+
+
+@pytest.mark.parametrize("k, terms", [(3, 111), (4, 32), (2, 1448)])
+def test_kstar_probe_agrees_with_the_exact_grid(k, terms):
+    assert kstar_norm_probe(k, 0.8, terms) == pytest.approx(
+        _kstar_on_the_grid(k, 0.8, terms), rel=1e-14)
+
+
+@pytest.mark.parametrize("k, terms", [(1, 10**5), (2, 300), (3, 50)])
+def test_kstar_probe_peak_is_within_its_charge(k, terms):
+    tracemalloc.start()
+    try:
+        kstar_norm_probe(k, 0.8, terms)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= terms**k * KSTAR_TUPLE_ELEMENTS * 16
+
+
+@pytest.mark.parametrize("k, terms", [
+    (0, 5), (-1, 0), (513, 1), (10**20, 5), (1, 0), (3, 1000), (1, 10**20), (30, 2),
+])
+def test_kstar_probe_refuses_bad_sizes_before_allocating(k, terms):
+    tracemalloc.start()
+    try:
         with pytest.raises(ValueError):
-            kstar_resolution(k, terms)
+            kstar_norm_probe(k, 0.8, terms)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20

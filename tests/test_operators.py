@@ -280,6 +280,15 @@ def test_opnorm_uncertified_when_mass_escapes():
     assert not est.certified
 
 
+def test_opnorm_uncertified_when_the_kernel_jumps_past_the_dilated_window():
+    # the kernel at 1, 4, ..., 100 puts nothing in the shell of [-3, 3], only
+    # the grid's Parseval mass shows what lies beyond; the norm is 1.7114...
+    m = MultiplierSymbol(1, fractional_multiplier(FractionalParams(2, 0.5), 10).eval)
+    est = opnorm_l1_lp(m, 2.0, TorusGrid(1, 256), centered_window(1))
+    assert est.value == pytest.approx(1.0, abs=1e-12)
+    assert not est.certified
+
+
 @pytest.mark.parametrize("make", [
     lambda: fractional_multiplier(FractionalParams(2, 0.5), 100),
     lambda: fractional_multiplier(FractionalParams(1, 0.7, 0.3), 40),
