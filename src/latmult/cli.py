@@ -2,9 +2,12 @@
 
 Subcommands: apply, kernel, norm, opnorm, classify, scan, kstar, gohberg,
 spectrum, verify.  Exit codes: 0 success, 1 verification failure, 2 argument
-or parse errors, 3 contract violations (the aliasing certificate of apply), 4
-unwritable output.  All output is deterministic given flags and seed; floats
-are serialized with 17 significant digits.
+or parse errors, 3 contract violations (the aliasing certificate of `apply
+--symbol grid-file`), 4 unwritable output.  `apply` runs the identity and
+modulation symbols as exact translations and the fractional one on its
+kernel; the grid of `--grid-res` shapes only grid-file.  All output is
+deterministic given flags and seed; floats are serialized with 17 significant
+digits.
 """
 
 from __future__ import annotations
@@ -37,16 +40,12 @@ from .lattice import (
     centered_window,
     check_budget,
     load_jsonl,
+    restrict,
     save_jsonl,
-    sum_points,
+    translate,
 )
 from .norms import equivalent_seminorm, lp_norm, weak_norm
-from .operators import (
-    opnorm_l1_lp,
-    opnorm_l1_weakp,
-    pdo_matrix,
-    sample_multiplier,
-)
+from .operators import opnorm_l1_lp, opnorm_l1_weakp, pdo_matrix
 from .symbols import gohberg_decay, singular_tail
 from .torus import TorusGrid, TorusSamples, alias_free, dft, inverse_dft, load_csv
 from .verification import run_all
@@ -116,8 +115,7 @@ def cmd_apply(args) -> int:
         params = FractionalParams(args.k, args.lam, args.gamma)
         out = apply_fractional(params, f, window)
     else:
-        grid = TorusGrid(f.dim, args.grid_res)
-        points = f.arrays()[0]
+        grid = TorusGrid(f.dim, args.grid_res)  # checks --grid-res; only grid-file uses it
         if args.symbol == "grid-file":
             if args.symbol_file is None:
                 raise ValueError("--symbol grid-file needs --symbol-file")
@@ -127,21 +125,19 @@ def cmd_apply(args) -> int:
                 raise ValueError(f"cannot read symbol file: {exc}") from None
             if samples.grid != grid:
                 raise ValueError("symbol grid does not match the input")
+            if not alias_free(f.arrays()[0], grid.resolution, window):
+                msg = f"support and window collide mod {grid.resolution}"
+                print(f"error: aliasing certificate failed: {msg}", file=sys.stderr)
+                return 3
+            F = dft(f, grid)
+            out = inverse_dft(TorusSamples(grid, samples.values * F.values), window)
         else:
+            # e^{-2 pi i xi.a} has the kernel delta_a: t_m f is f translated by a, exactly
             if args.symbol == "identity":
-                m = catalog.identity_multiplier(f.dim)
+                shift = (0,) * f.dim
             else:
                 shift = tuple(int(c) for c in args.shift.split(","))
-                m = catalog.modulation_multiplier(shift)
-            samples = sample_multiplier(m, grid)
-            # t_m f lives on supp f + supp kernel, which must not alias the window
-            points = np.concatenate([points, sum_points(points, m.kernel.arrays()[0])])
-        if not alias_free(points, grid.resolution, window):
-            msg = f"support and window collide mod {grid.resolution}"
-            print(f"error: aliasing certificate failed: {msg}", file=sys.stderr)
-            return 3
-        F = dft(f, grid)
-        out = inverse_dft(TorusSamples(grid, samples.values * F.values), window)
+            out = restrict(translate(f, shift), window)
     rc = _save(save_jsonl, out, args.out)
     if rc == 0:
         print(json.dumps({"output": args.out, "norms": _norm_summary(out)}))
@@ -364,7 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--symbol-file")
     p.add_argument("--shift", default="1")
-    p.add_argument("--grid-res", type=int, default=64)
+    p.add_argument("--grid-res", type=int, default=64,
+                   help="grid resolution M; the grid shapes only --symbol grid-file")
     p.add_argument("--window", default="-16:16")
     frac_opts(p)
     p.set_defaults(func=cmd_apply)

@@ -15,6 +15,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -92,8 +93,9 @@ class LatticeSequence:
 
     @property
     def entries(self) -> Mapping[MultiIndex, complex]:
-        """Read-only {point: value} view, in support order; copies nothing."""
-        return _Entries(self)
+        """Read-only {point: value} dict, in support order, built on each call:
+        look one point up with `f[point]`."""
+        return MappingProxyType(dict(self.items()))
 
     def support(self) -> list[MultiIndex]:
         return list(map(tuple, self.idx.tolist()))
@@ -151,32 +153,6 @@ class LatticeSequence:
             and np.array_equal(self.idx, other.idx)
             and np.array_equal(self.val, other.val)
         )
-
-
-class _Entries(Mapping):
-    """{point: value} view of a sequence: lookups by binary search, iteration in
-    support order."""
-
-    def __init__(self, f: LatticeSequence):
-        self._f = f
-
-    def __getitem__(self, point) -> complex:
-        row = self._f._row(point)
-        if row is None:
-            raise KeyError(point)
-        return complex(self._f.val[row])
-
-    def __iter__(self) -> Iterator[MultiIndex]:
-        return iter(self._f.support())
-
-    def __len__(self) -> int:
-        return len(self._f)
-
-    def items(self):
-        return self._f.items()
-
-    def values(self):
-        return self._f.val.tolist()
 
 
 def from_arrays(idx: np.ndarray, val) -> LatticeSequence:
@@ -241,12 +217,6 @@ def add(f: LatticeSequence, g: LatticeSequence) -> LatticeSequence:
     return from_arrays(np.concatenate([f.idx, g.idx]), np.concatenate([f.val, g.val]))
 
 
-def sum_points(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Every sum a_i + b_j of two (n, dim) index arrays, exact, i-major."""
-    check_budget(len(a) * len(b), "point sums")
-    return _sum_indices(a[:, None], b[None]).reshape(-1, a.shape[1])
-
-
 def convolve(f: LatticeSequence, g: LatticeSequence) -> LatticeSequence:
     """Exact convolution (f*g)(x) = sum_y f(x-y) g(y), a direct sum either way.
 
@@ -277,7 +247,9 @@ def convolve(f: LatticeSequence, g: LatticeSequence) -> LatticeSequence:
                 out[tuple(slice(a, a + w) for a, w in zip(i, g_box.shape))] += v * g_box
             pts = np.argwhere(out)  # in C order, which is lexicographic order
             return LatticeSequence(pts + lo, out[tuple(pts.T)])
-    return from_arrays(sum_points(f.idx, g.idx), np.multiply.outer(f.val, g.val).ravel())
+    check_budget(pairs, "point sums")
+    idx = _sum_indices(f.idx[:, None], g.idx[None]).reshape(-1, f.dim)
+    return from_arrays(idx, np.multiply.outer(f.val, g.val).ravel())
 
 
 @dataclass(frozen=True)

@@ -12,11 +12,18 @@ import pytest
 
 import latmult
 from latmult.catalog import oscillating_decay_pdo
-from latmult.cli import main
+from latmult.cli import _parse_window, main
 from latmult.fractional import FractionalParams, fractional_kernel
-from latmult.lattice import centered_window, load_jsonl, save_jsonl, sequence, translate
+from latmult.lattice import (
+    centered_window,
+    load_jsonl,
+    restrict,
+    save_jsonl,
+    sequence,
+    translate,
+)
 from latmult.operators import pdo_matrix
-from latmult.torus import TorusGrid
+from latmult.torus import TorusGrid, TorusSamples, save_csv
 
 
 @pytest.fixture
@@ -91,31 +98,58 @@ def test_apply_fractional_kernel_on_delta(tmp_path):
     assert got == kern
 
 
+def _grid_file_argv(tmp_path, f, window) -> list[str]:
+    """apply --symbol grid-file argv for f, with the M = 64 samples of the identity."""
+    path, symbol = str(tmp_path / "f.jsonl"), str(tmp_path / "one64.csv")
+    save_jsonl(f, path)
+    save_csv(TorusSamples(TorusGrid(1, 64), np.ones(64, dtype=np.complex128)), symbol)
+    return ["apply", "--input", path, "--out", str(tmp_path / "o.jsonl"), "--symbol",
+            "grid-file", "--symbol-file", symbol, "--grid-res", "64", f"--window={window}"]
+
+
 def test_apply_aliasing_violation_exits_3(tmp_path):
-    # support at 0 and 64 collide mod the default grid resolution 64
-    path = str(tmp_path / "bad.jsonl")
-    save_jsonl(sequence(1, {(0,): 1.0, (64,): 1.0}), path)
-    rc = main(
-        ["apply", "--input", path, "--out", str(tmp_path / "o.jsonl")]
-    )
-    assert rc == 3
+    # support at 0 and 64 collide mod the grid resolution 64
+    assert main(_grid_file_argv(tmp_path, sequence(1, {(0,): 1.0, (64,): 1.0}), "-16:16")) == 3
 
 
-def test_apply_modulation_output_aliasing_window_exits_3(tmp_path, capsys):
-    # delta at 0 shifted by 64 lands outside the window but is congruent to 0
-    path = str(tmp_path / "d.jsonl")
-    save_jsonl(sequence(1, {(0,): 1.0}), path)
-    argv = ["apply", "--input", path, "--out", str(tmp_path / "o.jsonl"),
-            "--symbol", "modulation", "--shift", "64", "--window=-8:8"]
-    assert main(argv) == 3
-    assert "aliasing" in capsys.readouterr().err
+def _apply_exactly(tmp_path, capsys, f, symbol, shift, window):
+    """Run apply on f and check it against restrict(translate(f, shift), window)."""
+    path, out = str(tmp_path / "f.jsonl"), str(tmp_path / "o.jsonl")
+    save_jsonl(f, path)
+    argv = ["apply", "--input", path, "--out", out, "--symbol", symbol,
+            "--shift", ",".join(map(str, shift)), f"--window={window}"]
+    assert main(argv) == 0
+    want = restrict(translate(f, shift), _parse_window(window, f.dim))
+    assert load_jsonl(out) == want  # bit for bit, and no point outside supp f + shift
+    assert json.loads(capsys.readouterr().out)["norms"]["support"] == len(want)
+    return want
+
+
+@pytest.mark.parametrize("symbol, shift, window", [
+    ("identity", (0,), "-20:20"),  # the grid route wrote 41 rows for 8 points
+    ("identity", (0, 0), "-6:6,-6:6"),
+    ("modulation", (-3,), "18446744073709551600:18446744073709551620"),  # the grid exited 2
+])
+def test_apply_translation_symbols_are_exact(tmp_path, capsys, symbol, shift, window):
+    rng = np.random.default_rng(18)
+    points = rng.integers(-5, 6, (12, len(shift))).tolist()
+    if symbol == "modulation":
+        points = [[2**64 + p[0]] for p in points]
+    values = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+    f = sequence(len(shift), zip(points, values))
+    assert len(_apply_exactly(tmp_path, capsys, f, symbol, shift, window)) == len(f)
+
+
+def test_apply_modulation_output_off_the_window_is_empty(tmp_path, capsys):
+    # delta at 0 shifted by 64 lands outside the window, though congruent to 0 mod 64
+    want = _apply_exactly(tmp_path, capsys, sequence(1, {(0,): 1.0}), "modulation", (64,),
+                          "-8:8")
+    assert len(want) == 0
 
 
 def test_apply_window_beyond_int64_exits_2(tmp_path, capsys):
-    path = str(tmp_path / "d.jsonl")
-    save_jsonl(sequence(1, {(0,): 1.0}), path)
-    argv = ["apply", "--input", path, "--out", str(tmp_path / "o.jsonl"),
-            "--window=9223372036854775809:9223372036854775810"]
+    argv = _grid_file_argv(tmp_path, sequence(1, {(0,): 1.0}),
+                           "9223372036854775809:9223372036854775810")
     assert main(argv) == 2
     assert "int64" in capsys.readouterr().err
 
@@ -206,21 +240,18 @@ def test_apply_bad_symbol_file_exits_2(seq_file, tmp_path, symbol_file):
 
 
 def test_apply_index_beyond_int64_exits_2(tmp_path):
-    path = str(tmp_path / "huge.jsonl")
-    save_jsonl(sequence(1, {(2**64,): 1.0}), path)
-    rc = main(["apply", "--input", path, "--out", str(tmp_path / "o.jsonl"),
-               "--window=1:8"])
-    assert rc == 2
+    # the grid transforms take int64 indices only
+    assert main(_grid_file_argv(tmp_path, sequence(1, {(2**64,): 1.0}), "1:8")) == 2
 
 
-@pytest.mark.parametrize("window, code", [("-16:16", 3), ("100:110", 0)])
-def test_apply_modulation_output_beyond_int64_checks_aliasing_exactly(tmp_path, window, code):
-    # 2^63 - 5 + 10 leaves int64; it is 5 mod 64, inside -16:16 but not 100:110
-    path = str(tmp_path / "d.jsonl")
-    save_jsonl(sequence(1, {(2**63 - 5,): 1.0}), path)
-    argv = ["apply", "--input", path, "--out", str(tmp_path / "o.jsonl"),
-            "--symbol", "modulation", "--shift", "10", f"--window={window}"]
-    assert main(argv) == code
+@pytest.mark.parametrize("window, size", [
+    ("-16:16", 0), ("100:110", 0), ("9223372036854775813:9223372036854775813", 1),
+])
+def test_apply_modulation_output_beyond_int64_is_exact(tmp_path, capsys, window, size):
+    # 2^63 - 5 + 10 = 2^63 + 5 leaves int64; only the last window holds it
+    want = _apply_exactly(tmp_path, capsys, sequence(1, {(2**63 - 5,): 1.0}), "modulation",
+                          (10,), window)
+    assert want.support() == [(2**63 + 5,)] * size
 
 
 def _traced_exit(argv) -> tuple[int, int]:
@@ -243,10 +274,8 @@ def test_apply_fractional_over_size_budget_exits_2(tmp_path, capsys):
 
 
 def test_apply_huge_window_aliases_without_listing_it(tmp_path, capsys):
-    path = str(tmp_path / "d.jsonl")
-    save_jsonl(sequence(1, {(0,): 1.0}), path)
-    rc, peak = _traced_exit(["apply", "--input", path, "--out", str(tmp_path / "o.jsonl"),
-                             "--symbol", "identity", "--window=0:1000000000"])
+    argv = _grid_file_argv(tmp_path, sequence(1, {(0,): 1.0}), "0:1000000000")
+    rc, peak = _traced_exit(argv)
     assert rc == 3 and peak < 8 * 2**20
     assert "aliasing" in capsys.readouterr().err
 
