@@ -75,9 +75,31 @@ class NormResult:
 
 
 def _coefficients(params: FractionalParams, m: np.ndarray) -> np.ndarray:
-    """Kernel values m^{-decay} e^{-i gamma ln m} for a float64 array of m >= 1."""
+    """Kernel values m^{-decay} e^{-i gamma ln m} for a float64 array of m >= 1.
+
+    m is overwritten: every caller passes a fresh array, so the powers take
+    no array of their own.
+    """
     lam, gam = params.decay, params.oscillation
-    return m ** (-lam) * np.exp(-1j * gam * np.log(m))
+    z = -1j * gam * np.log(m)
+    np.exp(z, out=z)
+    m **= -lam
+    z *= m
+    return z
+
+
+def _shift_coefficients(
+    params: FractionalParams, m: np.ndarray, m_lo: int, m_hi: int
+) -> np.ndarray:
+    """_coefficients at each entry of the uint64 array m, m_lo <= m <= m_hi.
+
+    One value per distinct m, gathered, when there are fewer distinct m than
+    entries; otherwise one per entry, so no table is larger than m.
+    """
+    if m_hi - m_lo < len(m):
+        table = np.arange(m_lo, m_hi + 1, dtype=np.uint64).astype(np.float64)
+        return _coefficients(params, table)[m - m_lo]
+    return _coefficients(params, m.astype(np.float64))
 
 
 def _iroot(n: int, k: int) -> int:
@@ -115,9 +137,10 @@ def _kernel(params: FractionalParams, first: int, last: int) -> LatticeSequence:
         # it is charged that many of the budget's 16-byte elements
         per_term = -(-(sys.getsizeof(top) + 64) // 16)
         check_budget(terms * per_term, "16-byte elements for kernel terms with Python-int indices")
-    m = np.arange(first, last + 1, dtype=object if exact else np.int64)
     coeff = _coefficients(params, np.arange(first, last + 1, dtype=np.float64))
-    return LatticeSequence((m**params.power)[:, None], coeff)
+    m = np.arange(first, last + 1, dtype=object if exact else np.int64)
+    m **= params.power
+    return LatticeSequence(m[:, None], coeff)
 
 
 def fractional_kernel(params: FractionalParams, max_m: int) -> LatticeSequence:
@@ -135,7 +158,8 @@ def apply_fractional(
     For each support point only finitely many shifts land inside the window,
     so there is no truncation error.  When the kernel's span over them is at
     most four entries per shift (k = 1, or a short window), f is convolved
-    with the kernel cut to those m; otherwise the shifts are scattered.
+    with the kernel cut to those m; otherwise the shifts are scattered, with
+    one coefficient per distinct m when there are fewer distinct m than shifts.
     """
     if f.dim != 1 or out.dim != 1:
         raise ValueError("fractional operators act on dimension-1 sequences")
@@ -161,7 +185,7 @@ def apply_fractional(
     row = np.repeat(hit, counts)
     # uint64 wraps mod 2^64, so s + m^k is exact wherever it lands in the window
     n = (s[row, 0].view(np.uint64) + m**k).view(np.int64)
-    return from_arrays(n[:, None], v[row] * _coefficients(params, m.astype(np.float64)))
+    return from_arrays(n[:, None], v[row] * _shift_coefficients(params, m, m_lo, m_hi))
 
 
 def weak_norm_closed_form(params: FractionalParams, p: float) -> NormResult:

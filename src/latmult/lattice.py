@@ -123,20 +123,28 @@ class LatticeSequence:
         return zip(self.support(), self.val.tolist())
 
     def magnitudes(self) -> np.ndarray:
-        """|f| over the support, in support order, rounded as abs(complex) is."""
-        return np.hypot(self.val.real, self.val.imag)  # np.abs may differ by an ulp
+        """|f| over the support, in support order, rounded as abs(complex) is.
+
+        Read-only, computed once per sequence and returned by every call.
+        """
+        return self._magnitudes
+
+    @cached_property
+    def _magnitudes(self) -> np.ndarray:
+        mags = np.hypot(self.val.real, self.val.imag)  # np.abs may differ by an ulp
+        mags.setflags(write=False)
+        return mags
 
     @cached_property
     def rearranged(self) -> np.ndarray:
         """|f|*: magnitudes() sorted nonincreasing, read-only, computed once.
 
-        The reversed view of the ascending sort, not a contiguous copy: numpy
-        rounds some array powers of the two layouts differently, and the
-        norms are pinned to this one.  The arrays are read-only, so it cannot
-        go stale.
+        The reversed view of an ascending sorted copy, not a contiguous
+        array: numpy rounds some array powers of the two layouts differently,
+        and the norms are pinned to this one.  The arrays are read-only, so
+        neither cache can go stale.
         """
-        mags = self.magnitudes()
-        mags.sort()
+        mags = np.sort(self.magnitudes())
         mags.setflags(write=False)
         return mags[::-1]
 

@@ -5,7 +5,8 @@ decreasing rearrangement: it equals max_j j^{1/p} f*_j, which is exact and
 tie-agnostic.  The equivalent seminorm (sup over finite subsets E) is reduced
 to a prefix scan: for fixed |E| = s the inner r-sum is maximized by the s
 largest magnitudes.  Both read f.rearranged, which a sequence sorts on first
-use and keeps; lp_norm sums |f|^p in support order.
+use and keeps; lp_norm and distribution read f.magnitudes(), which a sequence
+also computes once and keeps, and lp_norm sums |f|^p in support order.
 
 Each norm is first taken by its plain formula.  Where that overflows, or
 underflows far enough to lose digits, the same sums are taken relative to the

@@ -5,11 +5,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from latmult import fractional
 from latmult.cli import main
 from latmult.fractional import (
     KSTAR_TUPLE_ELEMENTS,
     FractionalParams,
+    _coefficients,
+    _iroot,
     _zeta_tail,
     apply_fractional,
     classify_conjecture1,
@@ -21,7 +26,7 @@ from latmult.fractional import (
     weak_norm_closed_form,
     zeta,
 )
-from latmult.lattice import box, convolve, delta, sequence
+from latmult.lattice import box, convolve, delta, from_arrays, sequence
 from latmult.norms import lp_norm, weak_norm
 from latmult.torus import TorusGrid, dft, lq_torus_norm
 
@@ -323,3 +328,119 @@ def test_kstar_probe_refuses_bad_sizes_before_allocating(k, terms):
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+# --- kernel terms and coefficients --------------------------------------------
+
+def _formula(params, m):
+    """m^{-decay} e^{-i gamma ln m} as one expression, with no array reused."""
+    return m ** (-params.decay) * np.exp(-1j * params.oscillation * np.log(m))
+
+
+@pytest.mark.parametrize("k, lam, gam", [
+    (1, 0.5, 0.0), (2, 1.0, 0.7), (3, 0.5, 1.3), (3, 0.37, -2.1), (2, 1e-9, 5.0),
+])
+def test_kernel_matches_the_formula_byte_for_byte(k, lam, gam):
+    params = FractionalParams(k, lam, gam)
+    kern = fractional_kernel(params, 30001)
+    m = np.arange(1, 30002)
+    assert kern.idx.dtype == np.int64
+    assert kern.idx[:, 0].tobytes() == (m**k).tobytes()
+    assert kern.val.tobytes() == _formula(params, m.astype(np.float64)).tobytes()
+
+
+def test_kernel_with_python_int_indices_matches_the_formula():
+    params = FractionalParams(5, 0.6, 0.4)
+    kern = fractional_kernel(params, 10**4)
+    assert kern.idx.dtype == object
+    assert kern.idx[:, 0].tolist() == [m**5 for m in range(1, 10**4 + 1)]
+    assert kern.val.tobytes() == _formula(params, np.arange(1.0, 10**4 + 1)).tobytes()
+
+
+def test_kernel_peak_is_32_bytes_per_term():
+    # the coefficients (float m, its logs, the complex values) are formed
+    # before the int64 indices, so at most 32 B per term are alive at once
+    terms = 10**6
+    tracemalloc.start()
+    try:
+        kern = fractional_kernel(FractionalParams(3, 0.5, 0.7), terms)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(kern) == terms
+    assert peak <= 32 * terms + 2**18
+
+
+def _per_shift_oracle(params, f, lo, hi):
+    """The scatter with one coefficient per shift, in the order the operator sums."""
+    k, rows = params.power, []
+    for (s,), v in f.items():
+        first = 1 if lo - s <= 1 else _iroot(lo - s - 1, k) + 1
+        rows += [(s + m**k, m, v) for m in range(first, _iroot(hi - s, k) + 1)]
+    if not rows:
+        return sequence(1, [])
+    n, m, v = (np.array(col) for col in zip(*rows))
+    return from_arrays(n[:, None], v * _coefficients(params, m.astype(np.float64)))
+
+
+def _no_convolve(*args):
+    assume(False)  # the case takes the kernel-convolution path, not the scatter
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([2, 3]),
+    st.floats(0.05, 1.0),
+    st.floats(-3.0, 3.0),
+    st.lists(st.integers(-10**4, 10**4), min_size=1, max_size=8, unique=True),
+    st.integers(-10**4, 10**4),
+    st.integers(9, 10**5),
+)
+def test_scatter_values_match_the_per_shift_oracle(k, lam, gam, support, lo, length):
+    params = FractionalParams(k, lam, gam)
+    vals = np.linspace(-1.0, 1.5, len(support)) + 0.25j
+    f = from_arrays(np.array(support)[:, None], vals)
+    hi = lo + length
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fractional, "convolve", _no_convolve)
+        got = apply_fractional(params, f, box(lo, hi))
+    want = _per_shift_oracle(params, f, lo, hi)
+    assert np.array_equal(got.idx, want.idx)
+    assert got.val.tobytes() == want.val.tobytes()
+
+
+def test_wide_m_span_takes_the_per_shift_coefficients():
+    # m runs over 1..100 for the point 0 and is 10^6 for the point -10^12: a
+    # table over that span would hold 10^6 coefficients for 101 shifts
+    params = FractionalParams(2, 0.5, 0.3)
+    f = from_arrays(np.array([[0], [-(10**12)]]), np.array([1.0, 2.0j]))
+    tracemalloc.start()
+    try:
+        got = apply_fractional(params, f, box(0, 10**4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    want = _per_shift_oracle(params, f, 0, 10**4)
+    assert len(got) == 101 and got.val.tobytes() == want.val.tobytes()
+    assert peak < 2**20
+
+
+def test_scatter_evaluates_one_coefficient_per_distinct_m(monkeypatch):
+    # kernel-sparse's sizes: 10 points in [0, hi/10] on the window [0, hi]
+    rng = np.random.default_rng(19)
+    seen = []
+
+    def counting(params, m):
+        seen.append(len(m))
+        return _coefficients(params, m)
+
+    monkeypatch.setattr(fractional, "_coefficients", counting)
+    for k, hi in ((2, 10**6), (3, 10**9)):
+        support = np.unique(rng.integers(0, hi // 10, 10))
+        f = from_arrays(support[:, None], rng.standard_normal(len(support)) + 0j)
+        seen.clear()
+        got = apply_fractional(FractionalParams(k, 0.5, 0.4), f, box(0, hi))
+        m_hi = _iroot(hi - int(support[0]), k)
+        shifts = sum(_iroot(hi - int(s), k) for s in support)
+        assert seen == [m_hi] and shifts > 5 * m_hi
+        assert got == _per_shift_oracle(FractionalParams(k, 0.5, 0.4), f, 0, hi)

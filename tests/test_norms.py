@@ -226,6 +226,36 @@ def test_rearrangement_is_computed_once_and_read_only():
     assert r.tobytes() == want.tobytes() and r.strides == want.strides
 
 
+def test_magnitudes_are_computed_once_and_read_only():
+    f = fractional_kernel(FractionalParams(2, 0.6, 0.7), 1000)
+    mags = f.magnitudes()
+    assert f.magnitudes() is mags
+    assert not mags.flags.writeable
+    with pytest.raises(ValueError):
+        mags[0] = 0.0
+    assert mags.tobytes() == np.hypot(f.val.real, f.val.imag).tobytes()
+
+
+def test_rearranging_leaves_the_magnitudes_in_support_order():
+    f = random_seq(np.random.default_rng(4))
+    mags = f.magnitudes()
+    before = mags.tobytes()
+    fstar = f.rearranged
+    assert f.magnitudes() is mags and mags.tobytes() == before
+    # a reversed view of an ascending sort of the same floats
+    assert fstar.strides == (-8,)
+    assert fstar.tobytes() == np.sort(np.hypot(f.val.real, f.val.imag))[::-1].tobytes()
+
+
+def test_derived_sequences_compute_their_own_magnitudes():
+    f = random_seq(np.random.default_rng(5))
+    mags = f.magnitudes()
+    for g in (translate(f, 4), scale(f, -2.0), add(f, f), scale(f, 1.0)):
+        assert "_magnitudes" not in vars(g)
+        assert g.magnitudes() is not mags
+        assert g.magnitudes().tobytes() == np.hypot(g.val.real, g.val.imag).tobytes()
+
+
 def test_derived_sequences_compute_their_own_rearrangement():
     f = random_seq(np.random.default_rng(3))
     r = f.rearranged
