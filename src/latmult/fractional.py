@@ -346,4 +346,4 @@ def kstar_norm_probe(k: int, lam: float, terms: int, grid: TorusGrid | None = No
     order = np.argsort(n)
     n, w = n[order], w[order]
     r = np.add.reduceat(w, np.flatnonzero(np.diff(n, prepend=0)))
-    return math.fsum(r * r) ** (1.0 / (2 * k))
+    return math.fsum(memoryview(r * r)) ** (1.0 / (2 * k))

@@ -167,24 +167,39 @@ def from_arrays(idx: np.ndarray, val) -> LatticeSequence:
     """The sequence with values val at the rows of idx.
 
     Rows are sorted lexicographically, repeated rows summed in input order
-    from 0, as a running sum would, and exact zeros pruned.
+    from 0, as a running sum would, and exact zeros pruned.  Rows known to be
+    sorted and distinct, such as a window's, take `from_sorted` instead.
     """
     val = np.asarray(val, dtype=np.complex128)
     # any sort groups repeated rows; bincount then sums each group in input order
-    order = np.argsort(idx[:, 0]) if idx.shape[1] == 1 else np.lexsort(idx.T[::-1])
-    idx = idx[order]
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = np.any(idx[1:] != idx[:-1], axis=1)
-    if first.all():
-        val = val[order] + 0j  # as in a sum from 0, -0.0 becomes 0.0
+    if idx.shape[1] == 1:
+        order = np.argsort(idx[:, 0])
+        idx = idx[order]
+        new = idx[1:, 0] != idx[:-1, 0]
     else:
-        group, idx = np.empty(len(order), dtype=np.intp), idx.compress(first, axis=0)
-        group[order] = np.cumsum(first) - 1
-        val, summed = np.empty(len(idx), dtype=np.complex128), val
-        val.real = np.bincount(group, summed.real, len(idx))
-        val.imag = np.bincount(group, summed.imag, len(idx))
+        order = np.lexsort(idx.T[::-1])
+        idx = idx[order]
+        new = np.any(idx[1:] != idx[:-1], axis=1)
+    if new.all():
+        return from_sorted(idx, val[order])
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = new
+    group, idx = np.empty(len(order), dtype=np.intp), idx.compress(first, axis=0)
+    group[order] = np.cumsum(first) - 1
+    sums = np.empty(len(idx), dtype=np.complex128)
+    sums.real = np.bincount(group, val.real, len(idx))
+    sums.imag = np.bincount(group, val.imag, len(idx))
+    return from_sorted(idx, sums)
+
+
+def from_sorted(idx: np.ndarray, val) -> LatticeSequence:
+    """from_arrays(idx, val) for rows already sorted lexicographically and
+    distinct, as Window.indices() emits them: kept in their order, no re-sort."""
+    val = np.asarray(val, dtype=np.complex128) + 0j  # as in a sum from 0, -0.0 becomes 0.0
     keep = val != 0
-    return LatticeSequence(exact_indices(idx.compress(keep, axis=0)), val[keep])
+    if not keep.all():
+        idx, val = idx.compress(keep, axis=0), val[keep]
+    return LatticeSequence(exact_indices(idx), val)
 
 
 def sequence(dim: int, entries: Mapping | Iterable) -> LatticeSequence:
@@ -286,11 +301,14 @@ class Window:
         return list(map(tuple, self.indices().tolist()))
 
     def indices(self) -> np.ndarray:
-        """(cardinality, dim) int64 points, lexicographic; ValueError over the
-        size budget or beyond int64."""
+        """(cardinality, dim) int64 points, lexicographic and distinct, so
+        `from_sorted` builds a sequence on them without a re-sort; ValueError
+        over the size budget or beyond int64."""
         check_budget(self.cardinality, "window points")
         if not _fits(self.lo, self.hi):
             raise ValueError("lattice index does not fit in int64")
+        if self.dim == 1:
+            return np.arange(self.lo[0], self.hi[0] + 1, dtype=np.int64)[:, None]
         return np.indices(self.widths).reshape(self.dim, -1).T + np.array(self.lo)
 
     def contains(self, idx: np.ndarray) -> np.ndarray:

@@ -46,13 +46,13 @@ def power_mean(mags: np.ndarray, p: float, count: int = 1) -> float:
     ulp, else scaled by the largest magnitude.
     """
     with np.errstate(all="ignore"):
-        total = np.sum(mags**p)
+        total = (mags**p).sum()
         if len(mags) * _TINY <= total < math.inf:  # no overflow; all underflow < an ulp
             return float((total / count) ** (1.0 / p))
-        top = np.max(mags)
+        top = mags.max()
         if top == 0:
             return 0.0
-        return _finite(float(top * (np.sum((mags / top) ** p) / count) ** (1.0 / p)))
+        return _finite(float(top * (((mags / top) ** p).sum() / count) ** (1.0 / p)))
 
 
 def lp_norm(f: LatticeSequence, p: float) -> float:
@@ -63,7 +63,7 @@ def lp_norm(f: LatticeSequence, p: float) -> float:
     if len(mags) == 0:
         return 0.0
     if p == np.inf:
-        return float(np.max(mags))
+        return float(mags.max())
     return power_mean(mags, p)
 
 
@@ -83,10 +83,10 @@ def weak_norm(f: LatticeSequence, p: float) -> float:
         return 0.0
     j = np.arange(1, len(fstar) + 1, dtype=np.float64)
     with np.errstate(all="ignore"):
-        value = float(np.max(j ** (1.0 / p) * fstar))
+        value = float((j ** (1.0 / p) * fstar).max())
         if value < math.inf:
             return value
-        return _times_exp(fstar[0], np.max(np.log(j) / p + np.log(fstar / fstar[0])))
+        return _times_exp(fstar[0], (np.log(j) / p + np.log(fstar / fstar[0])).max())
 
 
 def equivalent_seminorm(f: LatticeSequence, p: float, r: float | None = None) -> float:
@@ -109,7 +109,7 @@ def equivalent_seminorm(f: LatticeSequence, p: float, r: float | None = None) ->
         low, high = prefix[[0, -1]] ** (1.0 / r)
         if (r >= 0.125 and len(s) * _TINY <= prefix[0] and low >= _TINY and high < math.inf
                 and len(s) ** (1.0 / p - 1.0 / r) >= _TINY):
-            value = float(np.max(s ** (1.0 / p - 1.0 / r) * prefix ** (1.0 / r)))
+            value = float((s ** (1.0 / p - 1.0 / r) * prefix ** (1.0 / r)).max())
             if value < math.inf:
                 return value
         # the s-th value is f*_1 s^{1/p} (mean_{i<=s} t_i^r)^{1/r} with t = f*/f*_1;
@@ -117,4 +117,4 @@ def equivalent_seminorm(f: LatticeSequence, p: float, r: float | None = None) ->
         t, rr = fstar / fstar[0], max(r, _TINY)
         excess = np.cumsum(np.expm1(rr * np.log(t))) / s  # mean of t^r, minus 1
         log_mean = np.where(excess > -0.5, np.log1p(excess), np.log(np.cumsum(t**rr) / s))
-        return _times_exp(fstar[0], np.max(np.log(s) / p + log_mean / rr))
+        return _times_exp(fstar[0], (np.log(s) / p + log_mean / rr).max())

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .lattice import LatticeSequence, Window, check_budget, from_arrays
+from .lattice import LatticeSequence, Window, check_budget, from_sorted
 from .norms import lp_norm, weak_norm
 from .torus import TorusGrid, TorusSamples, dft, from_grid, inverse_dft, lq_torus_norm, to_grid
 
@@ -123,14 +123,18 @@ def _symbol_rows(a: PdoSymbol, points: np.ndarray, grid: TorusGrid) -> np.ndarra
 def apply_pdo(
     a: PdoSymbol, f: LatticeSequence, grid: TorusGrid, out: Window
 ) -> LatticeSequence:
-    """t_a f(n) = (1/M^n) sum_j e^{2 pi i n.xi_j} a(n, xi_j) (dft f)(xi_j)."""
+    """t_a f(n) = (1/M^n) sum_j e^{2 pi i n.xi_j} a(n, xi_j) (dft f)(xi_j).
+
+    The output is built in the window's lexicographic order by from_sorted,
+    with no re-sort.
+    """
     if a.dim != f.dim:
         raise ValueError("dimension mismatch")
     check_budget(out.cardinality * grid.node_count, "symbol samples", MAX_SYMBOL_SAMPLES)
     F = dft(f, grid)
     pts = out.indices()
     rows = _symbol_rows(a, pts, grid) * F.values
-    return from_arrays(pts, from_grid(rows, pts[:, None, :], grid)[:, 0])
+    return from_sorted(pts, from_grid(rows, pts[:, None, :], grid)[:, 0])
 
 
 def _section_points(window: Window) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import LatticeSequence, Window, exact_indices, from_arrays
+from .lattice import LatticeSequence, Window, exact_indices, from_arrays, from_sorted
 from .norms import power_mean
 
 MAX_NODES = 2**22
@@ -111,7 +111,7 @@ def to_grid(values: np.ndarray, points: np.ndarray, grid: TorusGrid) -> np.ndarr
     """
     R, M, dim = len(values), grid.resolution, grid.dim
     box = np.zeros((R,) + (M,) * dim, dtype=np.complex128)
-    np.add.at(box, (np.arange(R)[:, None], *np.mod(points, M).T), values)
+    np.add.at(box, (np.arange(R)[:, None], *[points[:, d] % M for d in range(dim)]), values)
     return _boxes_fft(np.fft.fft, box).reshape(R, -1)
 
 
@@ -131,8 +131,7 @@ def from_grid(rows: np.ndarray, points: np.ndarray, grid: TorusGrid) -> np.ndarr
     """
     R, M, dim = len(rows), grid.resolution, grid.dim
     coeffs = _boxes_fft(np.fft.ifft, rows.reshape((R,) + (M,) * dim))
-    idx = np.moveaxis(np.mod(points, M), -1, 0)
-    return coeffs[(np.arange(R)[:, None], *idx)]
+    return coeffs[(np.arange(R)[:, None], *[points[..., d] % M for d in range(dim)])]
 
 
 def inverse_dft(F: TorusSamples, window: Window) -> LatticeSequence:
@@ -140,12 +139,13 @@ def inverse_dft(F: TorusSamples, window: Window) -> LatticeSequence:
 
     Recovery is exact when F = dft(f) and no two points of support(f) union
     the window are congruent mod M on every axis (see alias_free); aliasing
-    is the caller's contract, not an error.
+    is the caller's contract, not an error.  The output is built in the
+    window's lexicographic order by from_sorted, with no re-sort.
     """
     if F.grid.dim != window.dim:
         raise ValueError("dimension mismatch")
     pts = window.indices()
-    return from_arrays(pts, from_grid(F.values[None, :], pts[None], F.grid)[0])
+    return from_sorted(pts, from_grid(F.values[None, :], pts[None], F.grid)[0])
 
 
 def lq_torus_norm(F: TorusSamples, q: float) -> float:

@@ -11,12 +11,14 @@ order.  Supports must agree exactly and entries within 1e-12 of the l^1 mass
 import itertools
 import json
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from latmult import operators, torus
 from latmult.fractional import FractionalParams, _coefficients, _iroot, apply_fractional
 from latmult.lattice import (
     MAX_ELEMENTS,
@@ -26,6 +28,8 @@ from latmult.lattice import (
     box,
     convolve,
     delta,
+    from_arrays,
+    from_sorted,
     load_jsonl,
     restrict,
     save_jsonl,
@@ -34,7 +38,8 @@ from latmult.lattice import (
     translate,
 )
 from latmult.norms import equivalent_seminorm, lp_norm, weak_norm
-from latmult.torus import alias_free
+from latmult.operators import PdoSymbol, apply_pdo
+from latmult.torus import TorusGrid, TorusSamples, alias_free, inverse_dft
 
 I64 = 2**63
 
@@ -435,3 +440,67 @@ def test_alias_check_of_a_huge_window_lists_nothing():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+# --- window outputs in window order ------------------------------------------
+
+def assert_same_bytes(f: LatticeSequence, g: LatticeSequence):
+    assert f.idx.dtype == g.idx.dtype and f.idx.shape == g.idx.shape
+    assert f.idx.tobytes() == g.idx.tobytes()
+    assert f.val.dtype == g.val.dtype and f.val.tobytes() == g.val.tobytes()
+
+
+# signed zeros and exact zeros, which the window path must add 0j to and prune
+edge_values = st.builds(complex, st.sampled_from([0.0, -0.0, 1.5, -2.0]),
+                        st.sampled_from([0.0, -0.0, 0.25]))
+window_lo = st.one_of(st.integers(-6, 6), st.integers(I64 - 8, I64 - 1),
+                      st.integers(-I64, -I64 + 3))
+
+
+@st.composite
+def windows(draw, dim):
+    lo = draw(st.tuples(*[window_lo] * dim))
+    widths = draw(st.tuples(*[st.integers(1, 5)] * dim))
+    return Window(dim, lo, tuple(min(l + w - 1, I64 - 1) for l, w in zip(lo, widths)))
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 3).flatmap(windows))
+def test_window_indices_match_np_indices(window):
+    got = window.indices()
+    want = np.indices(window.widths).reshape(window.dim, -1).T + np.array(window.lo)
+    assert got.dtype == want.dtype == np.int64
+    assert np.array_equal(got, want)
+
+
+def test_window_indices_reach_the_int64_edges():
+    assert Window(1, (I64 - 3,), (I64 - 1,)).points() == [(I64 - 3,), (I64 - 2,), (I64 - 1,)]
+    assert Window(1, (-I64,), (-I64,)).points() == [(-I64,)]
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 2).flatmap(lambda d: st.tuples(windows(d), st.integers(1, 6))),
+       st.lists(edge_values, min_size=36, max_size=36))
+@example((Window(1, (I64 - 1,), (I64 - 1,)), 3), [-0.0j, 0j, complex(-0.0, 0.25)] * 12)
+def test_window_outputs_equal_from_arrays_of_the_same_values(case, values):
+    """inverse_dft and apply_pdo build their outputs by from_sorted; with
+    from_arrays in its place the same values give the same bytes."""
+    window, M = case
+    grid = TorusGrid(window.dim, M)
+    F = TorusSamples(grid, np.array(values[:grid.node_count], dtype=np.complex128))
+    a = PdoSymbol(window.dim, lambda n, xi: 0j, rows=lambda n, g: F.values[None, :])
+    f = delta((0,) * window.dim)
+    direct = inverse_dft(F, window), apply_pdo(a, f, grid, window)
+    with mock.patch.object(torus, "from_sorted", from_arrays), \
+            mock.patch.object(operators, "from_sorted", from_arrays):
+        sorted_ = inverse_dft(F, window), apply_pdo(a, f, grid, window)
+    for got, want in zip(direct, sorted_):
+        assert_same_bytes(got, want)
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 2).flatmap(windows), st.data())
+def test_from_sorted_equals_from_arrays(window, data):
+    pts = window.indices()
+    val = data.draw(st.lists(edge_values, min_size=len(pts), max_size=len(pts)))
+    assert_same_bytes(from_sorted(pts, val), from_arrays(pts, val))
