@@ -44,10 +44,8 @@ from .symbols import (
     ToroidalSymbol,
     class_check,
     cv_check,
-    difference,
     gohberg_decay,
     singular_tail,
-    torus_derivative,
 )
 from .torus import TorusGrid, TorusSamples, dft, inverse_dft, lq_torus_norm
 

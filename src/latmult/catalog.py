@@ -21,7 +21,9 @@ def kernel_multiplier(k: LatticeSequence) -> MultiplierSymbol:
     """Band-limited symbol dft(k), evaluated exactly from the finite kernel."""
 
     def ev(xi):
-        idx, val = k.arrays()  # int64 only; the kernel itself may reach beyond
+        # idx @ xi is formed in floats, so eval refuses indices beyond int64;
+        # grid samples are dft(k), which folds any index mod M exactly
+        idx, val = k.arrays()
         return complex(np.exp(-2j * np.pi * (idx @ xi)) @ val)
 
     return MultiplierSymbol(k.dim, ev, k)

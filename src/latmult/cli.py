@@ -125,7 +125,7 @@ def cmd_apply(args) -> int:
                 raise ValueError(f"cannot read symbol file: {exc}") from None
             if samples.grid != grid:
                 raise ValueError("symbol grid does not match the input")
-            if not alias_free(f.arrays()[0], grid.resolution, window):
+            if not alias_free(f.idx, grid.resolution, window):
                 msg = f"support and window collide mod {grid.resolution}"
                 print(f"error: aliasing certificate failed: {msg}", file=sys.stderr)
                 return 3

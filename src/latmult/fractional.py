@@ -25,7 +25,7 @@ from .lattice import (
     restrict,
     sequence,
 )
-from .torus import TorusGrid, TorusSamples, to_grid
+from .torus import TorusGrid, TorusSamples, dft
 
 
 # Kernel terms run to m <= lattice.MAX_ELEMENTS = 2^26, so an index m^power
@@ -112,18 +112,6 @@ def _iroot(n: int, k: int) -> int:
         if y >= x:
             return x
         x = y
-
-
-def _zeta_tail(s: float, N: int) -> float:
-    """Upper bound N^{1-s}/(s-1) - N^{-s}/2 + s N^{-s-1}/12 on sum_{m > N} m^{-s}.
-
-    Euler-Maclaurin through the first-derivative term, for s > 1; the
-    remainder is negative because m^{-s} is completely monotone.  With a, b, c
-    the three terms, adding 4 eps (a + b + c) covers the float rounding.
-    """
-    N = float(N)
-    a, b, c = N ** (1 - s) / (s - 1), N**-s / 2.0, s * N ** (-s - 1) / 12.0
-    return a - b + c + 4 * sys.float_info.epsilon * (a + b + c)
 
 
 def _kernel(params: FractionalParams, first: int, last: int) -> LatticeSequence:
@@ -287,34 +275,17 @@ def classify_conjecture1(p: float, q: float, lam: float, k: int) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class SymbolPartialSum:
-    """Partial sum of the fractional symbol with its L^2 truncation tail.
-
-    l2_tail bounds the L^2(T) distance to the full symbol via Parseval; it is
-    None when decay <= 1/2 (the tail series diverges there).
-    """
+    """Partial sum of the fractional symbol on a grid."""
 
     samples: TorusSamples
-    terms: int
-    l2_tail: float | None
 
 
 def symbol_partial_sum(
     params: FractionalParams, terms: int, grid: TorusGrid
 ) -> SymbolPartialSum:
-    """sum_{m<=terms} e^{-2 pi i m^power xi} / m^{decay + i oscillation} on the grid."""
-    if terms < 1:
-        raise ValueError(f"terms must be >= 1, got {terms}")
-    if grid.dim != 1:
-        raise ValueError("fractional symbols live on the 1-dimensional torus")
-    kern = fractional_kernel(params, terms)
-    # m^power mod M in exact integers keeps every phase exact on the grid.
-    residues = np.asarray(kern.idx % grid.resolution, dtype=np.int64)
-    vals = to_grid(kern.val[None], residues, grid)[0]
-    if params.decay > 0.5:
-        tail = math.sqrt(max(_zeta_tail(2.0 * params.decay, terms), 0.0))
-    else:
-        tail = None
-    return SymbolPartialSum(TorusSamples(grid, vals), terms, tail)
+    """sum_{m<=terms} e^{-2 pi i m^power xi} / m^{decay + i oscillation} on the grid:
+    dft of the truncated kernel, whose indices dft folds mod M exactly."""
+    return SymbolPartialSum(dft(fractional_kernel(params, terms), grid))
 
 
 def kstar_norm_probe(k: int, lam: float, terms: int, grid: TorusGrid | None = None) -> float:

@@ -3,10 +3,12 @@
 A sequence is two arrays: its support as an (n, dim) index array, sorted
 lexicographically with no point repeated, and the n complex128 values there,
 none of them exactly zero.  Indices are int64; when one does not fit, the
-whole index array holds exact Python ints instead, and `arrays()`, so every
-transform, raises ValueError.  Building a sequence sums repeated points in
-input order and prunes exact zeros.  Every allocation whose size typed input
-controls is checked against MAX_ELEMENTS first and raises ValueError above it.
+whole index array holds exact Python ints instead.  The grid transforms fold
+such indices mod M exactly; `arrays()` raises ValueError for them, so
+apply_fractional and a kernel multiplier's scalar eval refuse them.  Building
+a sequence sums repeated points in input order and prunes exact zeros.  Every
+allocation whose size typed input controls is checked against MAX_ELEMENTS
+first and raises ValueError above it.
 """
 
 from __future__ import annotations
@@ -230,10 +232,6 @@ def translate(f: LatticeSequence, shift) -> LatticeSequence:
     return LatticeSequence(_sum_indices(f.idx, exact_indices([s])), f.val)
 
 
-def scale(f: LatticeSequence, c: complex) -> LatticeSequence:
-    return from_arrays(f.idx, c * f.val)
-
-
 def add(f: LatticeSequence, g: LatticeSequence) -> LatticeSequence:
     if f.dim != g.dim:
         raise ValueError("dimension mismatch")
@@ -390,4 +388,4 @@ def load_jsonl(path) -> LatticeSequence:
     order = np.lexsort(idx.T[::-1])
     last = np.ones(len(order), dtype=bool)
     last[:-1] = np.any(idx[order[1:]] != idx[order[:-1]], axis=1)
-    return from_arrays(idx[order[last]], val[order[last]])
+    return from_sorted(idx[order[last]], val[order[last]])

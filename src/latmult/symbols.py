@@ -23,7 +23,7 @@ import numpy as np
 
 from .lattice import MultiIndex, Window, as_index, check_budget
 from .operators import MAX_SYMBOL_SAMPLES, OperatorMatrix, PdoSymbol, _symbol_rows
-from .torus import TorusGrid, TorusSamples
+from .torus import TorusGrid
 
 
 @dataclass(frozen=True)
@@ -34,22 +34,9 @@ class ToroidalSymbol:
     eval: Callable[[np.ndarray, MultiIndex], complex]
 
 
-def difference(sigma: Callable[[MultiIndex], complex], alpha, xi) -> complex:
-    """Iterated forward difference of a lattice-variable function.
-
-    Equals sum over 0 <= b <= alpha of (-1)^{|alpha-b|} prod C(alpha_i, b_i)
-    sigma(xi + b).
-    """
-    a = as_index(alpha)
-    point = as_index(xi)
-    if any(c < 0 for c in a):
-        raise ValueError(f"alpha must be componentwise >= 0, got {a}")
-    return sum(
-        (w * sigma(tuple(map(sum, zip(point, b)))) for b, w in _difference_weights(a)), 0j
-    )
-
-
 def _difference_weights(alpha: MultiIndex) -> list[tuple[MultiIndex, float]]:
+    """(b, (-1)^{|alpha-b|} prod C(alpha_i, b_i)) for 0 <= b <= alpha: the forward
+    difference Delta^alpha sigma(xi) is the sum of the weights times sigma(xi + b)."""
     weights = []
     for b in itertools.product(*(range(ai + 1) for ai in alpha)):
         sign = (-1) ** (sum(alpha) - sum(b))
@@ -62,29 +49,11 @@ def _difference_weights(alpha: MultiIndex) -> list[tuple[MultiIndex, float]]:
 
 def _derivative_factor(beta: MultiIndex, M: int, dim: int) -> np.ndarray:
     """prod_i (2 pi i xi_i)^{beta_i} on the symmetric frequencies of the M^dim box."""
-    if any(c < 0 for c in beta):
-        raise ValueError(f"beta must be componentwise >= 0, got {beta}")
     freqs = 2j * np.pi * np.fft.fftfreq(M, d=1.0 / M)
     factor = np.ones((1,) * dim, dtype=np.complex128)
     for axis_freqs, order in zip(np.ix_(*[freqs] * dim), beta):
         factor = factor * axis_freqs**order
     return factor
-
-
-def torus_derivative(F: TorusSamples, beta) -> TorusSamples:
-    """Spectral derivative d^beta/dx^beta of band-limited grid samples.
-
-    Coefficients are taken on the symmetric frequency range of the grid and
-    multiplied by prod (2 pi i xi_i)^{beta_i}; the band-limit below Nyquist is
-    the caller's contract.
-    """
-    b = as_index(beta)
-    g = F.grid
-    if len(b) != g.dim:
-        raise ValueError("beta must match the grid dimension")
-    M, n = g.resolution, g.dim
-    spec = np.fft.fftn(F.values.reshape([M] * n)) * _derivative_factor(b, M, n)
-    return TorusSamples(g, np.fft.ifftn(spec).ravel())
 
 
 @dataclass(frozen=True)

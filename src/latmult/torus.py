@@ -4,9 +4,10 @@ The forward transform is F(xi_j) = sum_n e^{-2 pi i n.xi_j} f(n) on the nodes
 xi_j = j/M; the inverse is the left-endpoint quadrature (1/M^n) sum_j
 e^{2 pi i n.xi_j} F(xi_j).  As e^{2 pi i n.j/M} depends on n only mod M, each
 is one exact FFT over the M^n box: the forward transform folds the support
-into the box by integer indices mod M (to_grid), the inverse reads the box at
-lattice points mod M (from_grid).  No other module moves between the lattice
-and the grid.
+into the box by integer indices mod M (to_grid), taken exactly for indices
+beyond int64 too, and the inverse reads the box at lattice points mod M
+(from_grid), which are window points and so int64.  No other module moves
+between the lattice and the grid.
 """
 
 from __future__ import annotations
@@ -104,14 +105,16 @@ def _boxes_fft(fft, boxes: np.ndarray) -> np.ndarray:
 def to_grid(values: np.ndarray, points: np.ndarray, grid: TorusGrid) -> np.ndarray:
     """sum_p e^{-2 pi i n_p.xi_j} values[r, p] at every node xi_j, for each row r.
 
-    values is (R, P) and points the (P, dim) int64 lattice points n_p.  Each
-    row is folded into an M^dim box by its points mod M, colliding points
-    adding as they do in the sum, and the R boxes are transformed together.  The
-    result is (R, M^dim) in node order, exact for any points; the dual of from_grid.
+    values is (R, P) and points the (P, dim) lattice points n_p, int64 or
+    exact Python ints.  Each row is folded into an M^dim box by its points mod
+    M, taken exactly, colliding points adding as they do in the sum, and the R
+    boxes are transformed together.  The result is (R, M^dim) in node order,
+    exact for any points; the dual of from_grid.
     """
     R, M, dim = len(values), grid.resolution, grid.dim
     box = np.zeros((R,) + (M,) * dim, dtype=np.complex128)
-    np.add.at(box, (np.arange(R)[:, None], *[points[:, d] % M for d in range(dim)]), values)
+    folded = np.mod(points, M).astype(np.intp, copy=False)
+    np.add.at(box, (np.arange(R)[:, None], *[folded[:, d] for d in range(dim)]), values)
     return _boxes_fft(np.fft.fft, box).reshape(R, -1)
 
 
@@ -119,8 +122,7 @@ def dft(f: LatticeSequence, grid: TorusGrid) -> TorusSamples:
     """F(xi_j) = sum_n e^{-2 pi i n.xi_j} f(n), by to_grid of f's one row."""
     if f.dim != grid.dim:
         raise ValueError(f"dimension mismatch: {f.dim} vs {grid.dim}")
-    idx, val = f.arrays()
-    return TorusSamples(grid, to_grid(val[None], idx, grid)[0])
+    return TorusSamples(grid, to_grid(f.val[None], f.idx, grid)[0])
 
 
 def from_grid(rows: np.ndarray, points: np.ndarray, grid: TorusGrid) -> np.ndarray:

@@ -239,9 +239,16 @@ def test_apply_bad_symbol_file_exits_2(seq_file, tmp_path, symbol_file):
     assert main(argv) == 2
 
 
-def test_apply_index_beyond_int64_exits_2(tmp_path):
-    # the grid transforms take int64 indices only
-    assert main(_grid_file_argv(tmp_path, sequence(1, {(2**64,): 1.0}), "1:8")) == 2
+def test_apply_grid_file_index_beyond_int64_is_exact(tmp_path):
+    # 2^64 = 0 mod 64 lies off the window's residues 1..8, so the alias check
+    # passes and the identity samples give restrict(f, window) up to round-off
+    f = sequence(1, {(2**64,): 1.0, (3,): 2.0})
+    assert main(_grid_file_argv(tmp_path, f, "1:8")) == 0
+    got = load_jsonl(tmp_path / "o.jsonl")
+    want = restrict(f, _parse_window("1:8", 1))
+    assert want.support() == [(3,)]
+    assert all(1 <= n <= 8 for (n,) in got.support())
+    assert max(abs(got[n] - want[n]) for n in range(1, 9)) <= 1e-12 * 3.0
 
 
 @pytest.mark.parametrize("window, size", [

@@ -15,7 +15,6 @@ from latmult.fractional import (
     FractionalParams,
     _coefficients,
     _iroot,
-    _zeta_tail,
     apply_fractional,
     classify_conjecture1,
     classify_weak_and_strong,
@@ -139,14 +138,6 @@ def test_zeta_partial_sums_match_mpmath(terms):
             assert abs(zeta(s, terms) - want) <= 1e-13 * want, s
 
 
-def test_zeta_tail_is_an_upper_bound():
-    # the symbol_partial_sum L^2 certificate relies on it, after float rounding too
-    for s in map(float, np.linspace(1.0, 3.0, 21)[1:].tolist() + [1 + 1e-6]):
-        for N in (1, 2, 7, 31, 100, 10**4, 10**6, 10**9, 10**12):
-            with mpmath.workdps(40):
-                assert mpmath.mpf(_zeta_tail(s, N)) >= mpmath.zeta(s, N + 1), (s, N)
-
-
 def _classify(capsys, *argv):
     assert main(["classify", *argv]) == 0
     return json.loads(capsys.readouterr().out)
@@ -241,17 +232,6 @@ def test_symbol_partial_sum_k3_phases_are_exact_mod_m():
     phase = np.outer(np.arange(M), residues) % M
     want = np.exp(-2j * np.pi * phase / M) @ m ** -0.5
     assert np.max(np.abs(ps.samples.values - want)) <= 1e-12
-
-
-def test_symbol_partial_sum_tail_flag():
-    grid = TorusGrid(1, 16)
-    assert symbol_partial_sum(FractionalParams(1, 0.4), 3, grid).l2_tail is None
-    ps = symbol_partial_sum(FractionalParams(1, 0.8), 100, grid)
-    # Parseval: tail^2 ~ sum_{m>100} m^{-1.6}
-    expect = float(mpmath.zeta(1.6)) - float(
-        mpmath.nsum(lambda m: m**-1.6, [1, 100])
-    )
-    assert ps.l2_tail == pytest.approx(math.sqrt(expect), rel=1e-6)
 
 
 def test_kernel_magnitudes_are_oscillation_invariant():

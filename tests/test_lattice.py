@@ -11,8 +11,8 @@ from latmult.lattice import (
     centered_window,
     convolve,
     delta,
+    from_arrays,
     load_jsonl,
-    scale,
     sequence,
     translate,
 )
@@ -124,7 +124,7 @@ def test_convolve_young_l1():
 def test_zero_entries_pruned():
     f = sequence(1, {(0,): 0.0, (1,): 2.0})
     assert f.support() == [(1,)]
-    g = add(f, scale(f, -1))
+    g = add(f, from_arrays(f.idx, -1 * f.val))
     assert len(g) == 0
 
 

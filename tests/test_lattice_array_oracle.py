@@ -33,7 +33,6 @@ from latmult.lattice import (
     load_jsonl,
     restrict,
     save_jsonl,
-    scale,
     sequence,
     translate,
 )
@@ -249,8 +248,8 @@ def test_convolve_add_translate_scale_match_dict_oracle(case):
     assert_matches(convolve(f, g), dict_convolve(df, dg), 0.0, exact=True)
     assert_matches(add(f, g), dict_sequence(itertools.chain(df.items(), dg.items())),
                    0.0, exact=True)
-    assert_matches(scale(f, 0.5 - 0.25j), dict_sequence((i, (0.5 - 0.25j) * v)
-                                                       for i, v in df.items()), 0.0, exact=True)
+    assert_matches(from_arrays(f.idx, (0.5 - 0.25j) * f.val),
+                   dict_sequence((i, (0.5 - 0.25j) * v) for i, v in df.items()), 0.0, exact=True)
     shift = (I64 - 2,) * dim
     moved = {tuple(a + b for a, b in zip(i, shift)): v for i, v in df.items()}
     assert_matches(translate(f, shift), moved, 0.0, exact=True)

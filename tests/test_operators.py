@@ -306,12 +306,19 @@ def test_kernel_backed_opnorms_are_the_kernel_norms_on_any_grid(make):
         assert strong == OpNormEstimate(lp_norm(m.kernel, p), True, 0.0)
 
 
-def test_a_kernel_beyond_int64_has_no_grid_samples():
-    m = fractional_multiplier(FractionalParams(40, 0.5), 10)
+def test_a_kernel_beyond_int64_has_exact_grid_samples():
+    # the scalar eval forms m^40 xi in floats and refuses; the grid samples are
+    # dft(kernel), exact mod M: every phase m^40 j / M reduced in integers first
+    terms, M = 10, GRID.resolution
+    m = fractional_multiplier(FractionalParams(40, 0.5), terms)
     with pytest.raises(ValueError, match="int64"):
         m.eval(np.array([0.25]))
-    with pytest.raises(ValueError, match="int64"):
-        sample_multiplier(m, GRID)
+    ms = np.arange(1, terms + 1)
+    residues = np.array([pow(int(c), 40, M) for c in ms], dtype=np.int64)
+    phase = np.outer(np.arange(M), residues) % M
+    want = np.exp(-2j * np.pi * phase / M) @ ms**-0.5
+    got = sample_multiplier(m, GRID).values
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.sum(np.abs(m.kernel.val))
 
 
 def test_opnorm_l2_identity_and_diagonal():

@@ -16,86 +16,85 @@ from latmult.symbols import (
     ToroidalSymbol,
     class_check,
     cv_check,
-    difference,
     gohberg_decay,
     singular_tail,
-    torus_derivative,
 )
-from latmult.torus import TorusGrid, TorusSamples
+from latmult.torus import TorusGrid
 
 
-def on_nodes(grid, fn):
-    """fn evaluated node by node on the grid: a scalar oracle for grid samples."""
-    return TorusSamples(grid, np.array([fn(x) for x in grid.nodes()], dtype=np.complex128))
+def _sup(a, n1, n2, window, grid):
+    """class_check at order 0, rho = delta = 0, so every weight is w^0 = 1: each
+    row's constant is the plain sup of |Delta^alpha d^beta a| over the window x grid."""
+    report = class_check(a, 0.0, 0.0, 0.0, n1, n2, window, grid)
+    return {(r.alpha, r.beta): (r.constant, r.inner_constant) for r in report.rows}
 
 
 def test_difference_first_order():
-    sigma = lambda xi: float(xi[0] ** 2)
-    # Delta f(x) = (x+1)^2 - x^2 = 2x + 1
-    for x in range(-3, 4):
-        assert difference(sigma, (1,), (x,)) == pytest.approx(2 * x + 1)
+    # Delta xi^2 = (xi+1)^2 - xi^2 = 2 xi + 1: sup 7 on [-3, 3], 3 on the inner [-1, 1]
+    a = ToroidalSymbol(1, lambda x, xi: float(xi[0] ** 2))
+    sup = _sup(a, 1, 0, centered_window(3), TorusGrid(1, 4))
+    assert sup[(1,), (0,)] == (7.0, 3.0)
 
 
 def test_difference_second_order_annihilates_affine():
-    sigma = lambda xi: 3.0 * xi[0] + 7.0
-    for x in range(-3, 4):
-        assert difference(sigma, (2,), (x,)) == pytest.approx(0.0, abs=1e-12)
+    a = ToroidalSymbol(1, lambda x, xi: 3.0 * xi[0] + 7.0)
+    sup = _sup(a, 2, 0, centered_window(3), TorusGrid(1, 4))
+    assert sup[(1,), (0,)] == (3.0, 3.0)
+    assert sup[(2,), (0,)] == (0.0, 0.0)
 
 
 def test_difference_order_zero_is_identity():
-    sigma = lambda xi: complex(xi[0], xi[1])
-    assert difference(sigma, (0, 0), (2, -5)) == complex(2, -5)
+    # sup |xi_1 + i xi_2| = |2 + 2i| on the 5x5 window, |1 + i| on its inner 3x3
+    a = ToroidalSymbol(2, lambda x, xi: complex(xi[0], xi[1]))
+    sup = _sup(a, 0, 0, centered_window(2, 2), TorusGrid(2, 2))
+    assert sup[(0, 0), (0, 0)] == (abs(2 + 2j), abs(1 + 1j))
 
 
 def test_difference_mixed_partial():
-    sigma = lambda xi: float(xi[0] * xi[1])
-    # Delta_1 Delta_2 (x y) = 1 everywhere
-    for pt in ((0, 0), (3, -2), (-1, 4)):
-        assert difference(sigma, (1, 1), pt) == pytest.approx(1.0)
+    # Delta_1 Delta_2 (xi_1 xi_2) = 1 everywhere
+    a = ToroidalSymbol(2, lambda x, xi: float(xi[0] * xi[1]))
+    sup = _sup(a, 2, 0, centered_window(3, 2), TorusGrid(2, 2))
+    assert sup[(1, 1), (0, 0)] == (1.0, 1.0)
 
 
 def test_difference_rejects_negative_order():
-    with pytest.raises(ValueError):
-        difference(lambda xi: 0.0, (-1,), (0,))
+    a = ToroidalSymbol(1, lambda x, xi: 0.0)
+    with pytest.raises(ValueError, match=">= 0"):
+        class_check(a, 0.0, 0.0, 0.0, -1, 0, centered_window(2), TorusGrid(1, 4))
 
 
 def test_torus_derivative_of_wave():
-    grid = TorusGrid(1, 32)
-    F = on_nodes(grid, lambda x: np.exp(2j * np.pi * 3 * x[0]))
-    D = torus_derivative(F, (1,))
-    expect = 2j * np.pi * 3 * F.values
-    assert np.max(np.abs(D.values - expect)) < 1e-11
+    # |d_x e^{2 pi i 3 x}| = 6 pi
+    a = ToroidalSymbol(1, lambda x, xi: np.exp(2j * np.pi * 3 * x[0]))
+    const, inner = _sup(a, 0, 1, centered_window(2), TorusGrid(1, 32))[(0,), (1,)]
+    assert const == pytest.approx(6 * np.pi, rel=1e-12)
+    assert inner == pytest.approx(6 * np.pi, rel=1e-12)
 
 
 def test_torus_derivative_of_cosine_second_order():
-    grid = TorusGrid(1, 64)
-    F = on_nodes(grid, lambda x: np.cos(2 * np.pi * x[0]))
-    D = torus_derivative(F, (2,))
-    expect = -(2 * np.pi) ** 2 * F.values
-    assert np.max(np.abs(D.values - expect)) < 1e-9
+    # sup |d_x^2 cos(2 pi x)| = (2 pi)^2, at the node x = 0
+    a = ToroidalSymbol(1, lambda x, xi: np.cos(2 * np.pi * x[0]))
+    const, _ = _sup(a, 0, 2, centered_window(2), TorusGrid(1, 64))[(0,), (2,)]
+    assert const == pytest.approx((2 * np.pi) ** 2, rel=1e-9)
 
 
 def test_torus_derivative_dim2_mixed():
-    grid = TorusGrid(2, 16)
-    F = on_nodes(
-        grid, lambda x: np.exp(2j * np.pi * (2 * x[0] - x[1]))
-    )
-    D = torus_derivative(F, (1, 1))
-    expect = (2j * np.pi * 2) * (-2j * np.pi) * F.values
-    assert np.max(np.abs(D.values - expect)) < 1e-10
+    # |d_x1 d_x2 e^{2 pi i (2 x_1 - x_2)}| = |(4 pi i)(-2 pi i)| = 8 pi^2
+    a = ToroidalSymbol(2, lambda x, xi: np.exp(2j * np.pi * (2 * x[0] - x[1])))
+    const, _ = _sup(a, 0, 2, centered_window(2, 2), TorusGrid(2, 16))[(0, 0), (1, 1)]
+    assert const == pytest.approx(8 * np.pi**2, rel=1e-10)
 
 
 def test_torus_derivative_dimension_guard():
-    grid = TorusGrid(1, 8)
-    F = on_nodes(grid, lambda x: 1.0)
-    with pytest.raises(ValueError):
-        torus_derivative(F, (1, 0))
+    a = ToroidalSymbol(1, lambda x, xi: 1.0)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        class_check(a, 0.0, 0.0, 0.0, 0, 1, centered_window(2), TorusGrid(2, 8))
 
 
 def test_torus_derivative_rejects_negative_order():
-    F = on_nodes(TorusGrid(1, 8), lambda x: 1.0)
+    a = ToroidalSymbol(1, lambda x, xi: 1.0)
     with pytest.raises(ValueError, match=">= 0"):
-        torus_derivative(F, (-1,))
+        class_check(a, 0.0, 0.0, 0.0, 0, -1, centered_window(2), TorusGrid(1, 8))
 
 
 def test_class_check_bracket_power_symbol():

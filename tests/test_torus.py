@@ -233,7 +233,15 @@ def test_load_csv_accepts_rows_in_any_order(tmp_path):
     )
 
 
-def test_dft_of_index_beyond_int64_raises_value_error():
-    kern = fractional_kernel(FractionalParams(5, 0.5), 10**4)
-    with pytest.raises(ValueError, match="int64"):
-        dft(kern, TorusGrid(1, 64))
+def test_dft_of_index_beyond_int64_is_exact_mod_m():
+    # m^5 passes int64 from m = 6209 on; to_grid folds the exact indices mod M.
+    # Oracle: every phase m^5 j / M reduced mod M in integers before the float.
+    terms, M = 10**4, 64
+    kern = fractional_kernel(FractionalParams(5, 0.5), terms)
+    assert kern.idx.dtype == object
+    m = np.arange(1, terms + 1)
+    residues = np.array([pow(int(c), 5, M) for c in m], dtype=np.int64)
+    phase = np.outer(np.arange(M), residues) % M
+    want = np.exp(-2j * np.pi * phase / M) @ m**-0.5
+    got = dft(kern, TorusGrid(1, M)).values
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.sum(np.abs(kern.val))
