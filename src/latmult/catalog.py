@@ -1,11 +1,9 @@
 """Built-in symbols used by the CLI and the verification suite.
 
-Every multiplier here is the dft of a finite kernel and carries that kernel,
-so its grid samples are one FFT of the kernel folded mod M in integers:
-exact phases on the grid, however far the support reaches.  Every pdo symbol
-here is written once, as an array formula f(n, xi) over (K, dim) lattice
-points and (N, dim) torus points; its rows(n, grid) is f at the grid nodes
-and its scalar eval is f at a single (n, xi).
+Every multiplier is kernel_multiplier(k), whose grid samples are dft(k): exact
+mod M, however far the support reaches.  Every pdo symbol is written once, as
+an array formula f(n, xi) over (K, dim) lattice points and (N, dim) torus
+points; its rows(n, grid) is f at the grid nodes, its eval f at one (n, xi).
 """
 
 from __future__ import annotations
@@ -26,7 +24,7 @@ def kernel_multiplier(k: LatticeSequence) -> MultiplierSymbol:
         idx, val = k.arrays()
         return complex(np.exp(-2j * np.pi * (idx @ xi)) @ val)
 
-    return MultiplierSymbol(k.dim, ev, k)
+    return MultiplierSymbol(ev, k)
 
 
 def identity_multiplier(dim: int = 1) -> MultiplierSymbol:

@@ -5,9 +5,10 @@ spectrum, verify.  Exit codes: 0 success, 1 verification failure, 2 argument
 or parse errors, 3 contract violations (the aliasing certificate of `apply
 --symbol grid-file`), 4 unwritable output.  `apply` runs the identity and
 modulation symbols as exact translations and the fractional one on its
-kernel; the grid of `--grid-res` shapes only grid-file.  All output is
-deterministic given flags and seed; floats are serialized with 17 significant
-digits.
+kernel; the grid of `--grid-res` shapes only grid-file.  `opnorm` gives the
+norms of the multiplier's kernel; its `--grid-res` and `--window-radius` are
+checked and have no effect.  All output is deterministic given flags and
+seed; floats are serialized with 17 significant digits.
 """
 
 from __future__ import annotations
@@ -114,30 +115,30 @@ def cmd_apply(args) -> int:
     if args.symbol == "fractional":
         params = FractionalParams(args.k, args.lam, args.gamma)
         out = apply_fractional(params, f, window)
+    elif args.symbol == "grid-file":
+        grid = TorusGrid(f.dim, args.grid_res)
+        if args.symbol_file is None:
+            raise ValueError("--symbol grid-file needs --symbol-file")
+        try:
+            samples = load_csv(args.symbol_file)
+        except (OSError, ValueError) as exc:
+            raise ValueError(f"cannot read symbol file: {exc}") from None
+        if samples.grid != grid:
+            raise ValueError("symbol grid does not match the input")
+        if not alias_free(f.idx, grid.resolution, window):
+            msg = f"support and window collide mod {grid.resolution}"
+            print(f"error: aliasing certificate failed: {msg}", file=sys.stderr)
+            return 3
+        F = dft(f, grid)
+        out = inverse_dft(TorusSamples(grid, samples.values * F.values), window)
     else:
-        grid = TorusGrid(f.dim, args.grid_res)  # checks --grid-res; only grid-file uses it
-        if args.symbol == "grid-file":
-            if args.symbol_file is None:
-                raise ValueError("--symbol grid-file needs --symbol-file")
-            try:
-                samples = load_csv(args.symbol_file)
-            except (OSError, ValueError) as exc:
-                raise ValueError(f"cannot read symbol file: {exc}") from None
-            if samples.grid != grid:
-                raise ValueError("symbol grid does not match the input")
-            if not alias_free(f.idx, grid.resolution, window):
-                msg = f"support and window collide mod {grid.resolution}"
-                print(f"error: aliasing certificate failed: {msg}", file=sys.stderr)
-                return 3
-            F = dft(f, grid)
-            out = inverse_dft(TorusSamples(grid, samples.values * F.values), window)
+        TorusGrid(1, args.grid_res)  # checks --grid-res, which only grid-file uses
+        # e^{-2 pi i xi.a} has the kernel delta_a: t_m f is f translated by a, exactly
+        if args.symbol == "identity":
+            shift = (0,) * f.dim
         else:
-            # e^{-2 pi i xi.a} has the kernel delta_a: t_m f is f translated by a, exactly
-            if args.symbol == "identity":
-                shift = (0,) * f.dim
-            else:
-                shift = tuple(int(c) for c in args.shift.split(","))
-            out = restrict(translate(f, shift), window)
+            shift = tuple(int(c) for c in args.shift.split(","))
+        out = restrict(translate(f, shift), window)
     rc = _save(save_jsonl, out, args.out)
     if rc == 0:
         print(json.dumps({"output": args.out, "norms": _norm_summary(out)}))
@@ -174,7 +175,8 @@ def cmd_opnorm(args) -> int:
     else:
         shift = tuple(int(c) for c in args.shift.split(","))
         m = catalog.modulation_multiplier(shift)
-    grid = TorusGrid(m.dim, args.grid_res)
+    # --grid-res and --window-radius are checked but unused: the norms are the kernel's
+    grid = TorusGrid(1, args.grid_res)
     window = centered_window(args.window_radius, m.dim)
     weak = opnorm_l1_weakp(m, args.p, grid, window)
     strong = opnorm_l1_lp(m, args.p, grid, window)
@@ -388,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     frac_opts(p)
     p.add_argument("--terms", type=int, default=100)
     p.add_argument("--p", type=float, default=2.0)
-    no_effect = "no effect on the built-in symbols, which carry their kernels"
+    no_effect = "no effect: the norms are those of the multiplier's kernel"
     p.add_argument("--grid-res", type=int, default=256, help=no_effect)
     p.add_argument("--window-radius", type=int, default=16, help=no_effect)
     p.set_defaults(func=cmd_opnorm)

@@ -322,12 +322,6 @@ class Window:
             l <= c <= h for l, c, h in zip(self.lo, idx, self.hi)
         )
 
-    def dilate(self, factor: int) -> "Window":
-        """Widen each axis about its center so the radius grows by `factor`."""
-        r = [max(w // 2, 1) * (factor - 1) for w in self.widths]
-        lo = tuple(l - d for l, d in zip(self.lo, r))
-        return Window(self.dim, lo, tuple(h + d for h, d in zip(self.hi, r)))
-
 
 def box(lo, hi) -> Window:
     l, h = as_index(lo), as_index(hi)
@@ -360,12 +354,16 @@ def save_jsonl(f: LatticeSequence, path) -> None:
 def load_jsonl(path) -> LatticeSequence:
     """Inverse of save_jsonl; a repeated index keeps its last row.
 
-    ValueError for a line that is not one object with an integer `index` of
-    the header's dim and numbers `re`, `im`, and for a value that is not
-    finite (JSON's NaN and Infinity tokens included).
+    ValueError for a header that is not one object with an integer `dim` >= 1,
+    for a line that is not one object with an integer `index` of that dim and
+    numbers `re`, `im`, and for a value that is not finite (JSON's NaN and
+    Infinity tokens included).
     """
     with open(path) as fh:
-        dim = int(json.loads(fh.readline())["dim"])
+        header = json.loads(fh.readline())
+        dim = header.get("dim") if type(header) is dict else None
+        if type(dim) is not int or dim < 1:
+            raise ValueError('the header must be one object {"dim": n} with an integer n >= 1')
         lines = [line for line in fh if line.strip()]
     rows = json.loads("[" + ",".join(lines) + "]")
     try:

@@ -3,16 +3,15 @@
 Operators are applied either on the frequency side (quadrature of the
 xi-integral against the dft of the input) or on the kernel side (exact
 convolution, lattice.convolve).  Finite sections are dense matrices on a
-window.  The l^1 -> l^{p,inf} and l^1 -> l^p operator norms are the norms of
-k = F^{-1} m, attained by delta inputs: exact when m carries k, else read off a
-grid with a truncation certificate.
+window.  A multiplier is the dft of its finite kernel k = F^{-1} m, so its
+l^1 -> l^{p,inf} and l^1 -> l^p operator norms, attained by delta inputs, are
+the norms of k, exact.
 
 Symbols are sampled at the nodes of a grid, by one function: _symbol_rows
 samples a pdo symbol (or a toroidal one, through a pdo adapter) on (lattice
 points) x (grid nodes) through its `rows(n, grid)` when it has one, and
-through the scalar `eval` otherwise.  sample_multiplier takes a multiplier
-with a finite `kernel` as dft(kernel), one FFT that is exact on the grid, and
-any other multiplier as the one row of multiplier_as_pdo(m) at the origin.
+through the scalar `eval` otherwise.  sample_multiplier is dft(kernel), one
+FFT that is exact on the grid.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ import numpy as np
 
 from .lattice import LatticeSequence, Window, check_budget, from_sorted
 from .norms import lp_norm, weak_norm
-from .torus import TorusGrid, TorusSamples, dft, from_grid, inverse_dft, lq_torus_norm, to_grid
+from .torus import TorusGrid, TorusSamples, dft, from_grid, inverse_dft, to_grid
 
 MATRIX_CAP = 4096
 # Largest (lattice points) x (grid nodes) array of pdo symbol samples, 64 MiB.
@@ -33,15 +32,17 @@ MAX_SYMBOL_SAMPLES = 2**22
 
 @dataclass(frozen=True)
 class MultiplierSymbol:
-    """Bounded evaluator xi in [0,1)^dim -> complex.
+    """The multiplier dft(kernel): `eval` is its value at one xi in [0,1)^dim.
 
-    `kernel`, when given, is the finite sequence whose dft the symbol is;
-    grid samples are then dft(kernel) instead of one eval call per node.
+    Built by catalog.kernel_multiplier; grid samples are dft(kernel).
     """
 
-    dim: int
     eval: Callable[[np.ndarray], complex]
-    kernel: LatticeSequence | None = None
+    kernel: LatticeSequence
+
+    @property
+    def dim(self) -> int:
+        return self.kernel.dim
 
 
 @dataclass(frozen=True)
@@ -59,12 +60,9 @@ class PdoSymbol:
 
 
 def multiplier_as_pdo(m: MultiplierSymbol) -> PdoSymbol:
-    """a(n', xi) = m(xi); given a kernel, rows is its one dft row for every point."""
-
-    def rows(n, grid):
-        return sample_multiplier(m, grid).values[None, :]
-
-    return PdoSymbol(m.dim, lambda n, xi: m.eval(xi), None if m.kernel is None else rows)
+    """a(n', xi) = m(xi); rows is the kernel's one dft row for every point."""
+    return PdoSymbol(m.dim, lambda n, xi: m.eval(xi),
+                     lambda n, grid: sample_multiplier(m, grid).values[None, :])
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,20 +81,13 @@ class OperatorMatrix:
 
 
 def sample_multiplier(m: MultiplierSymbol, grid: TorusGrid) -> TorusSamples:
-    if m.dim != grid.dim:
-        raise ValueError("dimension mismatch")
-    if m.kernel is not None:
-        return dft(m.kernel, grid)
-    origin = np.zeros((1, m.dim), dtype=np.int64)
-    return TorusSamples(grid, _symbol_rows(multiplier_as_pdo(m), origin, grid)[0])
+    return dft(m.kernel, grid)
 
 
 def apply_multiplier(
     m: MultiplierSymbol, f: LatticeSequence, grid: TorusGrid, out: Window
 ) -> LatticeSequence:
     """t_m f(n) = (1/M^n) sum_j e^{2 pi i n.xi_j} m(xi_j) (dft f)(xi_j)."""
-    if m.dim != f.dim:
-        raise ValueError("dimension mismatch")
     F = dft(f, grid)
     MF = TorusSamples(grid, sample_multiplier(m, grid).values * F.values)
     return inverse_dft(MF, out)
@@ -152,52 +143,26 @@ def pdo_matrix(a: PdoSymbol, window: Window, grid: TorusGrid) -> OperatorMatrix:
 
 @dataclass(frozen=True)
 class OpNormEstimate:
-    """Operator-norm value with a truncation certificate.
-
-    Exact, certified and with nothing discarded when the multiplier carries its
-    kernel.  Otherwise certified=False means l^1 mass escaped the dilated kernel
-    window, seen in its shell or as l^2 mass on the grid (Parseval) beyond it,
-    so the value is only a lower bound on the true norm over all of Z^n.
-    """
+    """Operator-norm value; the norms of a finite kernel are exact, so
+    `certified` is True and `discarded_mass` 0."""
 
     value: float
     certified: bool
     discarded_mass: float
 
 
-def _kernel_with_certificate(
-    m: MultiplierSymbol, grid: TorusGrid, window: Window
-) -> tuple[LatticeSequence, bool, float]:
-    if m.kernel is not None:
-        return m.kernel, True, 0.0
-    # Kernel computed on a 3x-radius window; the margin shell must carry less
-    # than 1e-9 of the total l^1 mass, and the window the grid's Parseval mass
-    # to 1e-9 (the shell misses a kernel that jumps past it), to be certified.
-    wide = window.dilate(3)
-    samples = sample_multiplier(m, grid)
-    k = inverse_dft(samples, wide)
-    total = lp_norm(k, 1)
-    shell = sum(k.magnitudes()[~window.contains(k.idx)].tolist())
-    parseval = lq_torus_norm(samples, 2.0) ** 2
-    certified = abs(parseval - lp_norm(k, 2) ** 2) <= 1e-9 * parseval and (
-        total == 0 or shell < 1e-9 * total)
-    return k, certified, shell
-
-
 def opnorm_l1_weakp(
     m: MultiplierSymbol, p: float, grid: TorusGrid, window: Window
 ) -> OpNormEstimate:
-    """||t_m||_{B(l^1, l^{p,inf})} = weak norm of the kernel F^{-1} m."""
-    k, certified, shell = _kernel_with_certificate(m, grid, window)
-    return OpNormEstimate(weak_norm(k, p), certified, shell)
+    """||t_m||_{B(l^1, l^{p,inf})} = weak norm of the kernel F^{-1} m; grid, window unused."""
+    return OpNormEstimate(weak_norm(m.kernel, p), True, 0.0)
 
 
 def opnorm_l1_lp(
     m: MultiplierSymbol, p: float, grid: TorusGrid, window: Window
 ) -> OpNormEstimate:
-    """||t_m||_{B(l^1, l^p)} = l^p norm of the kernel F^{-1} m."""
-    k, certified, shell = _kernel_with_certificate(m, grid, window)
-    return OpNormEstimate(lp_norm(k, p), certified, shell)
+    """||t_m||_{B(l^1, l^p)} = l^p norm of the kernel F^{-1} m; grid, window unused."""
+    return OpNormEstimate(lp_norm(m.kernel, p), True, 0.0)
 
 
 def opnorm_l2(A: OperatorMatrix) -> float:

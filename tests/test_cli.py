@@ -129,6 +129,7 @@ def _apply_exactly(tmp_path, capsys, f, symbol, shift, window):
     ("identity", (0,), "-20:20"),  # the grid route wrote 41 rows for 8 points
     ("identity", (0, 0), "-6:6,-6:6"),
     ("modulation", (-3,), "18446744073709551600:18446744073709551620"),  # the grid exited 2
+    ("identity", (0,) * 4, "-5:5,-5:5,-5:5,-5:5"),  # 64^4 grid nodes over the cap: exited 2
 ])
 def test_apply_translation_symbols_are_exact(tmp_path, capsys, symbol, shift, window):
     rng = np.random.default_rng(18)
@@ -198,6 +199,12 @@ def test_opnorm_modulation_beyond_int64_is_one(capsys):
     res = _opnorm(capsys, "--symbol", "modulation", "--shift", "99999999999999999999",
                   "--p", "2")
     assert (res["l1_to_weak_lp"], res["l1_to_lp"], res["certified"]) == ("1", "1", True)
+
+
+def test_opnorm_in_dim_5_builds_no_grid(capsys):
+    # a 5-D grid at the default --grid-res has 256^5 nodes, over the cap: exited 2
+    res = _opnorm(capsys, "--symbol", "modulation", "--shift", "1,1,1,1,1")
+    assert (res["l1_to_weak_lp"], res["l1_to_lp"]) == ("1", "1")
 
 
 def test_opnorm_alias_free_fractional_is_certified(capsys):
@@ -361,6 +368,14 @@ def test_norm_subcommand(seq_file, capsys):
     assert float(res["weak"]) <= float(res["seminorm"]) + 1e-12
 
 
+def test_norm_malformed_header_exits_2(tmp_path, capsys):
+    # a header that is not an object was an unhandled TypeError, exit 1
+    path = tmp_path / "f.jsonl"
+    path.write_text('[1]\n{"index": [0], "re": 1, "im": 0}\n')
+    assert main(["norm", "--input", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read input")
+
+
 def test_norm_bad_p_exits_2(seq_file):
     _, path = seq_file
     assert main(["norm", "--input", path, "--p", "0.5"]) == 2
@@ -463,7 +478,7 @@ def test_scan_needs_no_budget_for_terms(tmp_path):
     rc, peak = _traced_exit(["scan", "--k-list", "1", "--lam-range", "0.3", "--p-range",
                              "2,4", "--terms", "1000000000", "--out", out])
     assert rc == 0 and peak < 8 * 2**20
-    rows = [line.split(",") for line in open(out).read().splitlines()[1:]]
+    rows = [line.split(",") for line in Path(out).read_text().splitlines()[1:]]
     assert [r[8:10] for r in rows] == [["divergent"] * 2, ["finite"] * 2]
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(30):
@@ -487,10 +502,10 @@ def test_scan_row_count_and_determinism(tmp_path):
     ]
     assert main(args + ["--out", out1]) == 0
     assert main(args + ["--out", out2]) == 0
-    lines = open(out1).read().splitlines()
+    lines = Path(out1).read_text().splitlines()
     assert lines[0].startswith("k,lambda,gamma,p,q,M,")
     assert len(lines) == 1 + 2 * 3 * 2
-    assert open(out2).read() == open(out1).read()
+    assert Path(out2).read_text() == Path(out1).read_text()
 
 
 def test_scan_start_cell_resume(tmp_path):
@@ -507,7 +522,7 @@ def test_scan_start_cell_resume(tmp_path):
         "10",
     ]
     assert main(args + ["--start-cell", "2", "--out", out]) == 0
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     assert len(lines) == 2  # header + last cell only
 
 
@@ -529,7 +544,7 @@ def test_scan_config_file_with_flag_override(tmp_path):
         ]
     )
     assert rc == 0
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     assert len(lines) == 2
     assert lines[1].startswith("2,")
 
@@ -540,7 +555,7 @@ def test_kstar_output(tmp_path):
         ["kstar", "--k", "1", "--lam", "0.8", "--terms-list", "5,10", "--out", out]
     )
     assert rc == 0
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     assert lines[0] == "k,lambda,M,l2k_norm"
     assert len(lines) == 3
     # 2k = 2: Parseval gives sqrt(sum m^{-1.6})
@@ -666,7 +681,7 @@ def test_gohberg_output_and_verdict(tmp_path):
         ]
     )
     assert rc == 0
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     assert lines[0] == "radius,decay"
     assert float(lines[1].split(",")[1]) == pytest.approx(1.0)
     assert lines[-1] == "# verdict=consistent"
@@ -706,7 +721,7 @@ def test_spectrum_constant_symbol_flat(tmp_path):
         ]
     )
     assert rc == 0
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     assert lines[0] == "index,singular_value"
     for line in lines[1:]:
         assert float(line.split(",")[1]) == pytest.approx(1.0, abs=1e-9)
@@ -717,7 +732,7 @@ def test_spectrum_full_tail_matches_frobenius_norm(tmp_path):
     argv = ["spectrum", "--symbol", "oscillating-decay", "--window-radius", "28",
             "--count", "57", "--out", out]
     assert main(argv) == 0
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     values = np.array([float(line.split(",")[1]) for line in lines[1:]])
     assert len(values) == 57
     assert np.all(values >= 0) and np.all(np.diff(values) <= 0)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from latmult.lattice import (
     add,
     box,
-    centered_window,
     convolve,
     delta,
     from_arrays,
@@ -133,12 +132,6 @@ def test_window_points_lexicographic():
     assert w.points() == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
     assert w.cardinality == 6
     assert (1, 2) in w and (2, 0) not in w
-
-
-def test_window_dilate():
-    w = centered_window(4)
-    wide = w.dilate(3)
-    assert wide.lo == (-12,) and wide.hi == (12,)
 
 
 def test_empty_window_rejected():

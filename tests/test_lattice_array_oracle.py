@@ -200,6 +200,17 @@ def test_load_jsonl_rejects_a_malformed_or_non_finite_row(tmp_path, row):
         load_jsonl(path)
 
 
+@pytest.mark.parametrize("header", [
+    '[1]', '5', '"dim"', 'null', '{}', '{"dim": [1]}', '{"dim": 1e400}', '{"dim": 1.5}',
+    '{"dim": true}', '{"dim": "1"}', '{"dim": 0}', '{"dim": -1}',
+])
+def test_load_jsonl_rejects_a_malformed_header(tmp_path, header):
+    path = tmp_path / "f.jsonl"
+    path.write_text(header + '\n{"index": [5], "re": 1, "im": 0}\n')
+    with pytest.raises(ValueError, match="header"):
+        load_jsonl(path)
+
+
 def test_load_jsonl_reads_indices_beyond_int64_and_blank_lines(tmp_path):
     path = tmp_path / "f.jsonl"
     path.write_text('{"dim": 1}\n\n{"index": [9223372036854775808], "re": 1, "im": 0}\n'

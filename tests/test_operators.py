@@ -271,22 +271,13 @@ def test_opnorm_lp_delta_inputs_attain_it():
     assert best_delta == pytest.approx(est.value, abs=1e-10)
 
 
-def test_opnorm_uncertified_when_mass_escapes():
-    # a multiplier without a kernel: its kernel is read off the grid, and the
-    # mass in the dilated shell makes the truncation to the window lossy
-    k = sequence(1, {(0,): 1.0, (4,): 1.0})
-    m = MultiplierSymbol(1, kernel_multiplier(k).eval)
-    est = opnorm_l1_weakp(m, 2.0, TorusGrid(1, 128), centered_window(2))
-    assert not est.certified
-
-
-def test_opnorm_uncertified_when_the_kernel_jumps_past_the_dilated_window():
-    # the kernel at 1, 4, ..., 100 puts nothing in the shell of [-3, 3], only
-    # the grid's Parseval mass shows what lies beyond; the norm is 1.7114...
-    m = MultiplierSymbol(1, fractional_multiplier(FractionalParams(2, 0.5), 10).eval)
-    est = opnorm_l1_lp(m, 2.0, TorusGrid(1, 256), centered_window(1))
-    assert est.value == pytest.approx(1.0, abs=1e-12)
-    assert not est.certified
+def test_a_multiplier_is_its_kernel():
+    with pytest.raises(TypeError):
+        MultiplierSymbol(identity_multiplier(1).eval)  # no kernel
+    for m in (identity_multiplier(3), modulation_multiplier((2, -1)),
+              kernel_multiplier(sequence(2, {(0, 1): 1.0, (4, -2): 0.5j})),
+              fractional_multiplier(FractionalParams(3, 0.5, 0.2), 7)):
+        assert m.dim == m.kernel.dim
 
 
 @pytest.mark.parametrize("make", [

@@ -16,7 +16,6 @@ from latmult import catalog
 from latmult.fractional import FractionalParams
 from latmult.lattice import Window, centered_window, sequence
 from latmult.operators import (
-    MultiplierSymbol,
     PdoSymbol,
     _symbol_rows,
     apply_pdo,
@@ -175,16 +174,6 @@ def test_band_symbol_rows_match_scalar_oracle(lo):
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
         assert np.max(np.abs(scalar_rows(sym.eval, pts[:2].tolist(), grid) - want[:2])) <= (
             1e-15 * np.max(np.abs(want)))
-
-
-@pytest.mark.parametrize("dim, M", [(1, 64), (2, 8)])
-def test_kernel_less_multiplier_samples_are_its_node_wise_eval(dim, M):
-    def ev(xi):
-        return np.exp(2j * np.pi * np.sin(2 * np.pi * xi).sum()) / (1.5 + np.cos(7 * xi[0]))
-
-    grid = TorusGrid(dim, M)
-    got = sample_multiplier(MultiplierSymbol(dim, ev), grid).values
-    assert got.tobytes() == scalar_samples(ev, grid).tobytes()
 
 
 def test_multiplier_as_pdo_section_keeps_exact_phases():
