@@ -264,21 +264,24 @@ def _load_config(path) -> dict:
 
 
 def cmd_scan(args) -> int:
+    cfg = {}
     if args.config:
         try:
             cfg = _load_config(args.config)
         except OSError as exc:
             raise ValueError(f"cannot read config: {exc}") from None
-        for key in ("k_list", "lam_range", "p_range"):  # flags win over config values
-            if getattr(args, key) is None and key in cfg:
-                setattr(args, key, cfg[key])
+    # a flag wins over a config value, which wins over the default; "" is no default
+    spec = {"k_list": "1,2,3", "lam_range": "0.2:0.9:8", "p_range": "1.5:3:4"}
+    for key, default in spec.items():
+        flag = getattr(args, key)
+        spec[key] = cfg.get(key, default) if flag is None else flag
     if not 1 <= args.terms <= sys.float_info.max:
         raise ValueError(f"terms must be >= 1 and at most the largest float, got {args.terms}")
     if not math.isfinite(args.q):
         raise ValueError(f"q must be finite, got {args.q}")
-    ks = [int(x) for x in (args.k_list or "1,2,3").split(",")]
-    lams = _parse_range(args.lam_range or "0.2:0.9:8")
-    ps = _parse_range(args.p_range or "1.5:3:4")
+    ks = [int(x) for x in spec["k_list"].split(",")]
+    lams = _parse_range(spec["lam_range"])
+    ps = _parse_range(spec["p_range"])
     check_budget(len(ks) * len(lams) * len(ps), "scan cells")
     cells = list(itertools.product(ks, lams, ps))[max(args.start_cell, 0):]
     lines = [
@@ -322,7 +325,7 @@ def cmd_spectrum(args) -> int:
 def cmd_verify(args) -> int:
     results = run_all(fault=args.inject_fault, seed=args.seed)
     if args.format == "json":
-        rows = [{**asdict(r), "passed": bool(r.passed)} for r in results]
+        rows = [asdict(r) for r in results]
         print(json.dumps(rows, indent=2))
     else:
         for r in results:

@@ -216,12 +216,9 @@ def sequence(dim: int, entries: Mapping | Iterable) -> LatticeSequence:
     return from_arrays(exact_indices(points).reshape(len(points), dim), values)
 
 
-def delta(point, dim: int | None = None) -> LatticeSequence:
+def delta(point) -> LatticeSequence:
     """Characteristic function of a single lattice point."""
-    idx = as_index(point)
-    if dim is not None and len(idx) != dim:
-        raise ValueError(f"index {idx} does not have dim {dim}")
-    return LatticeSequence(exact_indices([idx]), np.ones(1, dtype=np.complex128))
+    return LatticeSequence(exact_indices([as_index(point)]), np.ones(1, dtype=np.complex128))
 
 
 def translate(f: LatticeSequence, shift) -> LatticeSequence:
@@ -351,13 +348,19 @@ def save_jsonl(f: LatticeSequence, path) -> None:
         fh.writelines(rows)
 
 
+def _has_boolean(x) -> bool:
+    """Whether x, or an entry of x at any depth of nested lists, is a bool."""
+    return type(x) is bool or type(x) is list and any(map(_has_boolean, x))
+
+
 def load_jsonl(path) -> LatticeSequence:
     """Inverse of save_jsonl; a repeated index keeps its last row.
 
     ValueError for a header that is not one object with an integer `dim` >= 1,
     for a line that is not one object with an integer `index` of that dim and
-    numbers `re`, `im`, and for a value that is not finite (JSON's NaN and
-    Infinity tokens included).
+    numbers `re`, `im` (JSON's true and false are not numbers here), and for a
+    value that is not finite (JSON's NaN and Infinity tokens, and integers
+    beyond the float range, included).
     """
     with open(path) as fh:
         header = json.loads(fh.readline())
@@ -365,12 +368,20 @@ def load_jsonl(path) -> LatticeSequence:
         if type(dim) is not int or dim < 1:
             raise ValueError('the header must be one object {"dim": n} with an integer n >= 1')
         lines = [line for line in fh if line.strip()]
-    rows = json.loads("[" + ",".join(lines) + "]")
+    text = "[" + ",".join(lines) + "]"
+    rows = json.loads(text)
     try:
         points = [r["index"] for r in rows]
         val = np.array([complex(r["re"], r["im"]) for r in rows], dtype=np.complex128)
+        # a JSON boolean is spelled true or false, so most files skip the row scan
+        if ("true" in text or "false" in text) and _has_boolean(
+            [[r["index"], r["re"], r["im"]] for r in rows]
+        ):
+            raise ValueError("indices and values must be numbers, not true or false")
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed row: {exc!r}") from None
+    except OverflowError:
+        raise ValueError("values must be finite") from None
     idx = np.asarray(points)
     if idx.dtype != np.int64 or idx.ndim > 2:  # beyond int64, or not all integers
         flat = [c for p in points for c in (p if type(p) is list else [p])]

@@ -25,6 +25,12 @@ from .lattice import MultiIndex, Window, as_index, check_budget
 from .operators import MAX_SYMBOL_SAMPLES, OperatorMatrix, PdoSymbol, _symbol_rows
 from .torus import TorusGrid
 
+# A class constant above CLASS_TOLERANCE, or one that grows by more than
+# GROWTH_MARGIN from the inner half of the probe window to the whole, makes the
+# class check's verdict "unbounded".
+CLASS_TOLERANCE = 1e3
+GROWTH_MARGIN = 0.10
+
 
 @dataclass(frozen=True)
 class ToroidalSymbol:
@@ -123,8 +129,6 @@ def _class_report(
     probe_window: Window,
     grid: TorusGrid,
     weight: str,
-    tolerance: float,
-    growth_margin: float,
 ) -> ClassReport:
     """The class check on sample(xi) = (K, M^dim) symbol rows at K int64 points xi."""
     if not 0 <= rho < 1:
@@ -167,10 +171,10 @@ def _class_report(
             weighted = np.max(np.abs(vals), axis=node_axes) * w ** (-expo)
             c_full = float(np.max(weighted, initial=0.0))
             c_inner = float(np.max(weighted, where=inner, initial=0.0))
-            growing = c_full > 1e-9 and c_full > c_inner * (1.0 + growth_margin) + 1e-12
+            growing = c_full > 1e-9 and c_full > c_inner * (1.0 + GROWTH_MARGIN) + 1e-12
             rows.append(ClassRow(alpha=al, beta=be, constant=c_full, weight_exponent=expo,
                                  inner_constant=c_inner, growing=growing))
-    bounded = all(not r.growing and r.constant <= tolerance for r in rows)
+    bounded = all(not r.growing and r.constant <= CLASS_TOLERANCE for r in rows)
     return ClassReport(
         rows=rows,
         verdict="bounded" if bounded else "unbounded",
@@ -178,7 +182,7 @@ def _class_report(
         rho=rho,
         delta=delta,
         weight=weight,
-        tolerance=tolerance,
+        tolerance=CLASS_TOLERANCE,
         probe_window=probe_window,
         resolution=grid.resolution,
     )
@@ -194,20 +198,19 @@ def class_check(
     probe_window: Window,
     grid: TorusGrid,
     weight: str = "japanese-bracket",
-    tolerance: float = 1e3,
-    growth_margin: float = 0.10,
 ) -> ClassReport:
     """Probe |Delta_xi^alpha d_x^beta a| . w(xi)^{-(m - rho|alpha| + delta|beta|)}.
 
     Constants are suprema over probe_window x grid for |alpha| <= n1,
     |beta| <= n2.  Verdict "bounded" requires every constant at most
-    `tolerance` and no growth from the inner half-window to the full window;
-    a probe window with no point in its inner half raises ValueError.
+    CLASS_TOLERANCE and no growth beyond GROWTH_MARGIN from the inner
+    half-window to the full window; a probe window with no point in its
+    inner half raises ValueError.
     """
     pdo = PdoSymbol(a.dim, lambda n, x: a.eval(x, n))
     return _class_report(
         lambda xi: _symbol_rows(pdo, xi, grid), a.dim, order_m, rho, delta,
-        n1, n2, probe_window, grid, weight, tolerance, growth_margin,
+        n1, n2, probe_window, grid, weight,
     )
 
 
@@ -219,8 +222,6 @@ def cv_check(
     probe_window: Window,
     grid: TorusGrid,
     weight: str = "one-plus-norm",
-    tolerance: float = 1e3,
-    growth_margin: float = 0.10,
 ) -> ClassReport:
     """L^2-boundedness condition with weight exponent (|beta| - |alpha|) rho.
 
@@ -230,7 +231,7 @@ def cv_check(
     """
     return _class_report(
         lambda xi: np.conj(_symbol_rows(m_sym, -xi, grid)), m_sym.dim, 0.0, rho,
-        rho, n1, n2, probe_window, grid, weight, tolerance, growth_margin,
+        rho, n1, n2, probe_window, grid, weight,
     )
 
 

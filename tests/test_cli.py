@@ -376,6 +376,14 @@ def test_norm_malformed_header_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: cannot read input")
 
 
+def test_norm_value_beyond_the_float_range_exits_2(tmp_path, capsys):
+    # an integer re too large for a float was an unhandled OverflowError, exit 1
+    path = tmp_path / "f.jsonl"
+    path.write_text('{"dim": 1}\n{"index": [5], "re": 1' + "0" * 400 + ', "im": 0}\n')
+    assert main(["norm", "--input", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read input")
+
+
 def test_norm_bad_p_exits_2(seq_file):
     _, path = seq_file
     assert main(["norm", "--input", path, "--p", "0.5"]) == 2
@@ -459,6 +467,10 @@ def test_scan_in_the_one_ulp_band_exits_2(capsys):
     ["scan", "--q", "nan"],
     ["scan", "--q", "inf"],
     ["scan", "--p-range", "1.5,inf"],
+    # an empty list ran the default values and exited 0
+    ["scan", "--k-list", ""],
+    ["scan", "--lam-range", ""],
+    ["scan", "--p-range", ""],
 ])
 def test_non_finite_or_out_of_range_input_exits_2(argv, capsys):
     assert main(argv) == 2
@@ -547,6 +559,14 @@ def test_scan_config_file_with_flag_override(tmp_path):
     lines = Path(out).read_text().splitlines()
     assert len(lines) == 2
     assert lines[1].startswith("2,")
+
+
+def test_scan_empty_config_list_exits_2(tmp_path, capsys):
+    # a config line `k_list =` ran the default k = 1,2,3 and exited 0
+    cfg = tmp_path / "scan.cfg"
+    cfg.write_text("k_list =\n")
+    assert main(["scan", "--config", str(cfg), "--terms", "10", "--out", os.devnull]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_kstar_output(tmp_path):

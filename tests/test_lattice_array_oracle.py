@@ -192,6 +192,12 @@ def test_save_jsonl_refuses_a_non_finite_value(tmp_path, value):
     '{"re": 1, "im": 0}',
     '{"index": [0], "re": 1, "im": 0}, {"index": [1], "re": 1, "im": 0}',
     '[0, 1]',
+    # an integer beyond the float range was an unhandled OverflowError
+    pytest.param('{"index": [0], "re": 1' + "0" * 400 + ', "im": 0}', id="re-beyond-float"),
+    # JSON true and false were read as the numbers 1 and 0
+    '{"index": [true], "re": 1, "im": 0}',
+    '{"index": [0], "re": true, "im": 0}',
+    '{"index": [0], "re": 1, "im": false}',
 ])
 def test_load_jsonl_rejects_a_malformed_or_non_finite_row(tmp_path, row):
     path = tmp_path / "f.jsonl"
@@ -209,6 +215,22 @@ def test_load_jsonl_rejects_a_malformed_header(tmp_path, header):
     path.write_text(header + '\n{"index": [5], "re": 1, "im": 0}\n')
     with pytest.raises(ValueError, match="header"):
         load_jsonl(path)
+
+
+def test_jsonl_beyond_int64_refuses_booleans_and_round_trips(tmp_path):
+    # beside an index beyond int64 a true index was kept as a Python bool, and
+    # save_jsonl wrote it as True, which load_jsonl cannot read back
+    path = tmp_path / "f.jsonl"
+    big = '{"index": [18446744073709551616], "re": 1, "im": 0}\n'
+    path.write_text('{"dim": 1}\n{"index": [true], "re": 1, "im": 0}\n' + big)
+    with pytest.raises(ValueError, match="true or false"):
+        load_jsonl(path)
+    # "true" in a string, or in a key load_jsonl does not read, is no boolean
+    path.write_text('{"dim": 1}\n{"index": [1], "re": 1, "im": 0, "note": "true"}\n' + big)
+    f = load_jsonl(path)
+    assert f.support() == [(1,), (2**64,)]
+    save_jsonl(f, tmp_path / "g.jsonl")
+    assert load_jsonl(tmp_path / "g.jsonl") == f
 
 
 def test_load_jsonl_reads_indices_beyond_int64_and_blank_lines(tmp_path):
