@@ -85,6 +85,12 @@ def _write_text(text: str, path) -> None:
         fh.write(text)
 
 
+def _check_file_out(path: str) -> None:
+    """apply and kernel print their JSON summary on stdout, so --out is a file."""
+    if path == "-":
+        raise ValueError("--out - is not allowed here: the summary goes to stdout; give a file")
+
+
 def _load_input(path):
     try:
         return load_jsonl(path)
@@ -110,6 +116,7 @@ def _save(write, value, path) -> int:
 
 
 def cmd_apply(args) -> int:
+    _check_file_out(args.out)
     f = _load_input(args.input)
     window = _parse_window(args.window, f.dim)
     if args.symbol == "fractional":
@@ -146,6 +153,7 @@ def cmd_apply(args) -> int:
 
 
 def cmd_kernel(args) -> int:
+    _check_file_out(args.out)
     params = FractionalParams(args.k, args.lam, args.gamma)
     kern = fractional_kernel(params, args.max_m)
     rc = _save(save_jsonl, kern, args.out)
@@ -251,15 +259,23 @@ def _scan_cell(k: int, lam: float, gamma: float, p: float, q: float, terms: int)
     return ",".join(nums + flags + ["true" if predicted else "false"])
 
 
+# scan's defaults, and the only keys its --config file may set
+_SCAN_DEFAULTS = {"k_list": "1,2,3", "lam_range": "0.2:0.9:8", "p_range": "1.5:3:4"}
+
+
 def _load_config(path) -> dict:
+    """`key = value` lines; blank lines and lines starting with # are skipped."""
     cfg = {}
     with open(path) as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            key, _, value = line.partition("=")
-            cfg[key.strip()] = value.strip()
+            key, eq, value = (part.strip() for part in line.partition("="))
+            if not eq or key not in _SCAN_DEFAULTS:
+                raise ValueError(f"config line {number} is not `key = value` with a key "
+                                 f"in {sorted(_SCAN_DEFAULTS)}: {line!r}")
+            cfg[key] = value
     return cfg
 
 
@@ -271,7 +287,7 @@ def cmd_scan(args) -> int:
         except OSError as exc:
             raise ValueError(f"cannot read config: {exc}") from None
     # a flag wins over a config value, which wins over the default; "" is no default
-    spec = {"k_list": "1,2,3", "lam_range": "0.2:0.9:8", "p_range": "1.5:3:4"}
+    spec = dict(_SCAN_DEFAULTS)
     for key, default in spec.items():
         flag = getattr(args, key)
         spec[key] = cfg.get(key, default) if flag is None else flag

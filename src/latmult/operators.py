@@ -10,8 +10,11 @@ the norms of k, exact.
 Symbols are sampled at the nodes of a grid, by one function: _symbol_rows
 samples a pdo symbol (or a toroidal one, through a pdo adapter) on (lattice
 points) x (grid nodes) through its `rows(n, grid)` when it has one, and
-through the scalar `eval` otherwise.  sample_multiplier is dft(kernel), one
-FFT that is exact on the grid.
+through the scalar `eval` otherwise.  The scalar route keeps the rows of the
+last (symbol, grid) it sampled, so consecutive calls on the same symbol and
+grid evaluate each lattice point once; `eval` must therefore be a pure
+function of (n, xi).  sample_multiplier is dft(kernel), one FFT that is exact
+on the grid.
 """
 
 from __future__ import annotations
@@ -48,6 +51,10 @@ class MultiplierSymbol:
 @dataclass(frozen=True)
 class PdoSymbol:
     """Evaluator (n', xi) -> complex for a pseudo-differential operator.
+
+    `eval` must be a pure function of (n', xi): the library samples a symbol
+    once and reuses the samples, within a call and, for a symbol without
+    `rows`, across calls with the same symbol object and grid (_symbol_rows).
 
     `rows`, when given, is the same symbol sampled on a grid: rows(n, grid)
     with n a (K, dim) int64 array of lattice points returns a complex array
@@ -93,22 +100,45 @@ def apply_multiplier(
     return inverse_dft(MF, out)
 
 
+# The scalar route's samples at the last (symbol, grid) it was asked for:
+# (symbol, grid, {lattice point: complex128 row at the grid nodes}).
+_last_block: tuple = (None, None, {})
+
+
 def _symbol_rows(a: PdoSymbol, points: np.ndarray, grid: TorusGrid) -> np.ndarray:
     """(K, M^dim) samples a(n, xi) at K int64 lattice points n and the grid nodes xi.
 
     The only place a symbol is sampled on a grid: through a.rows when the
-    symbol has it, one scalar a.eval call per entry otherwise.
+    symbol has it, one scalar a.eval call per entry otherwise.  The scalar
+    route keeps one block, the rows of the last symbol (matched by identity)
+    on the last grid (matched by equality), and evaluates only the rows the
+    block lacks, in point and node order, so a.eval must be a pure function
+    of (n, xi).  A different symbol or grid, or a block that would pass
+    MAX_SYMBOL_SAMPLES with the new rows, starts a new block, so the samples
+    kept between calls stay under the same cap.
     """
+    global _last_block
     shape = (len(points), grid.node_count)
     check_budget(shape[0] * shape[1], "symbol samples", MAX_SYMBOL_SAMPLES)
     if a.rows is not None:
         rows = np.asarray(a.rows(points, grid), dtype=np.complex128)
         return np.broadcast_to(rows, shape)
+    keys = list(map(tuple, points.tolist()))
+    wanted = dict.fromkeys(keys)
+    sym, last_grid, kept = _last_block
+    if sym is not a or last_grid != grid:
+        kept = {}
+    # a new dict on every call: the shared block is replaced, never changed in place
+    if len(kept.keys() | wanted.keys()) * shape[1] <= MAX_SYMBOL_SAMPLES:
+        block = dict(kept)
+    else:
+        block = {n: kept[n] for n in wanted if n in kept}
     nodes = grid.nodes()
-    return np.array(
-        [[a.eval(n, x) for x in nodes] for n in map(tuple, points.tolist())],
-        dtype=np.complex128,
-    ).reshape(shape)
+    for n in wanted:
+        if n not in block:
+            block[n] = np.array([a.eval(n, x) for x in nodes], dtype=np.complex128)
+    _last_block = (a, grid, block)
+    return np.array([block[n] for n in keys], dtype=np.complex128).reshape(shape)
 
 
 def apply_pdo(

@@ -569,6 +569,36 @@ def test_scan_empty_config_list_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("text", [
+    "k-list = 2\nterms = 10\n",  # a misspelt key and a key that is only a flag
+    "k_list = 2\nterms = 10\n",
+    "# comment\n\nk_list\n",  # a line without =
+    "= 2\n",
+])
+def test_scan_config_refuses_an_unknown_key_or_a_line_without_equals(tmp_path, capsys, text):
+    # these lines used to be ignored: scan ran the default 96 cells and exited 0
+    cfg = tmp_path / "scan.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "scan.csv"
+    assert main(["scan", "--config", str(cfg), "--terms", "10", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: config line ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["kernel", "--max-m", "3", "--out", "-"],
+    ["apply", "--input", "missing.jsonl", "--out", "-"],
+])
+def test_apply_and_kernel_refuse_out_dash_before_any_work(tmp_path, monkeypatch, capsys, argv):
+    # both used to write a file named "-" in the working directory and exit 0;
+    # the missing input shows that apply refuses before it reads anything
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: --out - ")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_kstar_output(tmp_path):
     out = str(tmp_path / "kstar.csv")
     rc = main(

@@ -1,3 +1,6 @@
+import dataclasses
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -14,6 +17,7 @@ from latmult.catalog import (
     smooth_decay_pdo,
 )
 from latmult.fractional import FractionalParams
+from latmult import operators
 from latmult.lattice import (
     Window,
     box,
@@ -402,3 +406,132 @@ def test_conjugation_residual_on_off_centre_boxes_in_dim_2(lo):
     window = box(lo, (lo[0] + 4, lo[1] + 3))
     for sym in (constant_one_pdo(2), inverse_distance_pdo(2)):
         assert conjugation_residual(sym, TorusGrid(2, 16), window) <= 1e-13
+
+
+# ---- the scalar route keeps the rows of the last (symbol, grid) ----------
+
+
+def _counting_band_symbol(seed=0):
+    """A scalar band symbol sum_{|u|<=2} c_u(n) e^{2 pi i u xi} and its call count."""
+    rng = np.random.default_rng(seed)
+    alpha = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+    theta = rng.uniform(0.0, 1.0, 5)
+    U = np.arange(-2, 3)
+    calls = [0]
+
+    def ev(n, xi):
+        calls[0] += 1
+        c = alpha + np.exp(2j * np.pi * theta * n[0]) / (1.0 + abs(n[0]))
+        return complex(c @ np.exp(2j * np.pi * U * xi[0]))
+
+    return PdoSymbol(1, ev), calls
+
+
+def _section_recipe(sym, fresh):
+    """pdo_matrix and apply_pdo on a radius-16 window, then the conjugation
+    residual on radius 8, on 64 nodes; `fresh` gives each call its own copy."""
+    f = random_seq(np.random.default_rng(3), span=8, count=9)
+    same = (lambda: dataclasses.replace(sym)) if fresh else (lambda: sym)
+    grid, w16 = TorusGrid(1, 64), centered_window(16)
+    return (pdo_matrix(same(), w16, grid), apply_pdo(same(), f, grid, w16),
+            conjugation_residual(same(), grid, centered_window(8)))
+
+
+def test_the_section_recipe_samples_each_row_once():
+    sym, calls = _counting_band_symbol()
+    _section_recipe(sym, fresh=False)
+    assert calls[0] == 33 * 64  # the route with no block made (33 + 33 + 17) * 64
+
+
+def test_kept_rows_give_the_same_bytes_as_fresh_symbols():
+    sym, _ = _counting_band_symbol()
+    kept = _section_recipe(sym, fresh=False)
+    fresh = _section_recipe(sym, fresh=True)
+    assert kept[0].entries.tobytes() == fresh[0].entries.tobytes()
+    assert kept[1].idx.tobytes() == fresh[1].idx.tobytes()
+    assert kept[1].val.tobytes() == fresh[1].val.tobytes()
+    assert kept[2] == fresh[2]
+
+
+def test_a_larger_window_evaluates_only_its_new_rows():
+    sym, calls = _counting_band_symbol()
+    small = pdo_matrix(sym, centered_window(4), GRID)
+    assert calls[0] == 9 * 64
+    large = pdo_matrix(sym, centered_window(8), GRID)
+    assert calls[0] == 17 * 64
+    again = pdo_matrix(dataclasses.replace(sym), centered_window(8), GRID)
+    assert large.entries.tobytes() == again.entries.tobytes()
+    assert small.entries.tobytes() == pdo_matrix(
+        dataclasses.replace(sym), centered_window(4), GRID).entries.tobytes()
+
+
+def test_another_grid_or_symbol_re_evaluates():
+    sym, calls = _counting_band_symbol()
+    w = centered_window(4)
+    pdo_matrix(sym, w, GRID)
+    pdo_matrix(sym, w, TorusGrid(1, 64))  # an equal grid keeps the rows
+    assert calls[0] == 9 * 64
+    pdo_matrix(sym, w, TorusGrid(1, 32))
+    assert calls[0] == 9 * 64 + 9 * 32
+    pdo_matrix(sym, w, GRID)  # the block now holds the 32-node rows
+    assert calls[0] == 2 * 9 * 64 + 9 * 32
+    pdo_matrix(dataclasses.replace(sym), w, GRID)  # equal, but another symbol
+    assert calls[0] == 3 * 9 * 64 + 9 * 32
+
+
+def test_the_kept_rows_stay_under_the_sample_cap(monkeypatch):
+    cap = 20 * 8
+    monkeypatch.setattr(operators, "MAX_SYMBOL_SAMPLES", cap)
+    sym, calls = _counting_band_symbol()
+    grid = TorusGrid(1, 8)
+    windows = [Window(1, (lo,), (hi,)) for lo, hi in
+               [(-4, 4), (5, 14), (15, 24), (-4, 4), (0, 19)]]
+    wants = [pdo_matrix(dataclasses.replace(sym), w, grid) for w in windows]
+    calls[0], held, evaluated = 0, [], []
+    for window, want in zip(windows, wants):
+        before = calls[0]
+        got = pdo_matrix(sym, window, grid)
+        assert got.entries.tobytes() == want.entries.tobytes()
+        block_sym, block_grid, block = operators._last_block
+        assert block_sym is sym and block_grid == grid
+        assert len(block) * grid.node_count <= cap
+        held.append(len(block))
+        evaluated.append((calls[0] - before) // grid.node_count)
+    # past the cap a new block keeps only the request's rows, reusing those it had
+    assert held == [9, 19, 10, 19, 20]
+    assert evaluated == [9, 10, 10, 9, 10]
+
+
+def test_threads_sharing_the_block_get_their_own_symbols_rows(monkeypatch):
+    cap = 20 * 8
+    monkeypatch.setattr(operators, "MAX_SYMBOL_SAMPLES", cap)
+    grid = TorusGrid(1, 8)
+    syms = [_counting_band_symbol(seed)[0] for seed in range(2)]
+    windows = [Window(1, (lo,), (lo + 9,)) for lo in (-10, -4, 3, 10)]
+    wants = {(s, w): pdo_matrix(dataclasses.replace(syms[s]), windows[w], grid).entries.tobytes()
+             for s in range(2) for w in range(4)}
+    errors = []
+
+    def work(t):
+        for i in range(40):
+            s, w = (t + i // 3) % 2, (t + i) % 4
+            try:
+                if pdo_matrix(syms[s], windows[w], grid).entries.tobytes() != wants[s, w]:
+                    errors.append(("wrong rows", t, i))
+                if len(operators._last_block[2]) * grid.node_count > cap:
+                    errors.append(("over the cap", t, i))
+            except Exception as exc:  # reported below with the thread and step
+                errors.append((repr(exc), t, i))
+
+    threads = [threading.Thread(target=work, args=(t,)) for t in range(6)]
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []

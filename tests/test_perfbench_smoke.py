@@ -75,3 +75,20 @@ def test_every_traced_name_resolves(perfbench):
             assert _required(reader) <= set(inspect.signature(fn).parameters), name
     for name in tracing.CATALOG_FACTORIES:
         assert callable(getattr(latmult.catalog, name)), name
+
+
+def test_pdo_section_samples_each_band_row_once_per_job(perfbench, tmp_path):
+    # pdo_matrix and apply_pdo on radius 16 and conjugation_residual on radius 8
+    # share the 33 rows of each job's scalar band symbol on its 64-node grid:
+    # 12 jobs x 33 x 64 calls, where sampling every call afresh makes 63,744
+    tracing, workloads = perfbench
+    workload = workloads.WORKLOADS["pdo-section"]
+    st = workload.setup(latmult, np.random.default_rng(1), str(tmp_path))
+    counter = tracing.Tracer()
+    for key in [k for k in st.symbols if isinstance(k, tuple) and k[0] == "band"]:
+        st.symbols[key] = counter.counted_symbol(st.symbols[key])
+    ops = workloads.Ops()
+    for job in st.jobs:
+        workload.check(st, job, workload.run(latmult, st, job, tracing.NullTracer()), ops)
+    assert ops.unexpected == []
+    assert counter.counts["catalog.symbol_eval.calls"] == 25_344
