@@ -41,7 +41,6 @@ from .operators import (
     pdo_matrix,
 )
 from .symbols import (
-    ToroidalSymbol,
     class_check,
     cv_check,
     gohberg_decay,

@@ -7,10 +7,11 @@ window.  A multiplier is the dft of its finite kernel k = F^{-1} m, so its
 l^1 -> l^{p,inf} and l^1 -> l^p operator norms, attained by delta inputs, are
 the norms of k, exact.
 
-Symbols are sampled at the nodes of a grid, by one function: _symbol_rows
-samples a pdo symbol (or a toroidal one, through a pdo adapter) on (lattice
-points) x (grid nodes) through its `rows(n, grid)` when it has one, and
-through the scalar `eval` otherwise.  The scalar route keeps the rows of the
+Every symbol is a PdoSymbol a(n, xi), lattice point first.  Symbols are
+sampled at the nodes of a grid, by one function: _symbol_rows samples a
+symbol on (lattice points) x (grid nodes) through its `rows(n, grid)` when it
+has one, and through the scalar `eval` otherwise, and refuses a symbol, grid
+or point array of different dimensions.  The scalar route keeps the rows of the
 last (symbol, grid) it sampled, so consecutive calls on the same symbol and
 grid evaluate each lattice point once; `eval` must therefore be a pure
 function of (n, xi).  sample_multiplier is dft(kernel), one FFT that is exact
@@ -108,8 +109,10 @@ _last_block: tuple = (None, None, {})
 def _symbol_rows(a: PdoSymbol, points: np.ndarray, grid: TorusGrid) -> np.ndarray:
     """(K, M^dim) samples a(n, xi) at K int64 lattice points n and the grid nodes xi.
 
-    The only place a symbol is sampled on a grid: through a.rows when the
-    symbol has it, one scalar a.eval call per entry otherwise.  The scalar
+    The only place a symbol is sampled on a grid, and where its dimension is
+    checked: ValueError unless a.dim == grid.dim ==
+    points.shape[1].  Samples come through a.rows when the symbol has it,
+    one scalar a.eval call per entry otherwise.  The scalar
     route keeps one block, the rows of the last symbol (matched by identity)
     on the last grid (matched by equality), and evaluates only the rows the
     block lacks, in point and node order, so a.eval must be a pure function
@@ -118,6 +121,9 @@ def _symbol_rows(a: PdoSymbol, points: np.ndarray, grid: TorusGrid) -> np.ndarra
     kept between calls stay under the same cap.
     """
     global _last_block
+    if not a.dim == grid.dim == points.shape[1]:
+        raise ValueError(f"dimension mismatch: symbol {a.dim}, grid {grid.dim}, "
+                         f"points {points.shape[1]}")
     shape = (len(points), grid.node_count)
     check_budget(shape[0] * shape[1], "symbol samples", MAX_SYMBOL_SAMPLES)
     if a.rows is not None:
@@ -149,8 +155,6 @@ def apply_pdo(
     The output is built in the window's lexicographic order by from_sorted,
     with no re-sort.
     """
-    if a.dim != f.dim:
-        raise ValueError("dimension mismatch")
     check_budget(out.cardinality * grid.node_count, "symbol samples", MAX_SYMBOL_SAMPLES)
     F = dft(f, grid)
     pts = out.indices()
@@ -212,8 +216,6 @@ def conjugation_residual(
     to_grid.  Every phase is exact mod M, so a small residual certifies the
     conjugation identity on any window, however far from the origin.
     """
-    if a.dim != grid.dim or a.dim != window.dim:
-        raise ValueError("dimension mismatch")
     pts = _section_points(window)
     rows = _symbol_rows(a, pts, grid)
     direct = from_grid(rows, pts[:, None] - pts[None], grid)

@@ -1,8 +1,9 @@
 """Symbol-class diagnostics: difference calculus, class bounds, compactness.
 
-Symbols live on T^n x Z^n.  Forward differences act on the lattice variable
-and spectral derivatives on the torus variable; weighted suprema over a
-finite probe domain produce observed class constants.  Everything here is a
+Every symbol is a PdoSymbol on Z^n x T^n, evaluated as a(n, x) with the
+lattice point first.  Forward differences act on the lattice variable and
+spectral derivatives on the torus variable; weighted suprema over a finite
+probe domain produce observed class constants.  Everything here is a
 finite-domain certificate, never a proof over all of Z^n, and the reports say
 so by carrying their probe ranges.
 
@@ -30,14 +31,6 @@ from .torus import TorusGrid
 # class check's verdict "unbounded".
 CLASS_TOLERANCE = 1e3
 GROWTH_MARGIN = 0.10
-
-
-@dataclass(frozen=True)
-class ToroidalSymbol:
-    """Evaluator (x in [0,1)^dim, xi in Z^dim) -> complex."""
-
-    dim: int
-    eval: Callable[[np.ndarray, MultiIndex], complex]
 
 
 def _difference_weights(alpha: MultiIndex) -> list[tuple[MultiIndex, float]]:
@@ -108,9 +101,7 @@ def _weights(points: np.ndarray, style: str) -> np.ndarray:
     norm = np.sqrt(np.sum(points.astype(np.float64) ** 2, axis=-1))
     if style == "japanese-bracket":
         return np.sqrt(1.0 + norm * norm)
-    if style == "one-plus-norm":
-        return 1.0 + norm
-    raise ValueError(f"unknown weight style {style!r}")
+    return 1.0 + norm  # "one-plus-norm"
 
 
 def _orders_up_to(dim: int, total: int) -> list[MultiIndex]:
@@ -189,7 +180,7 @@ def _class_report(
 
 
 def class_check(
-    a: ToroidalSymbol,
+    a: PdoSymbol,
     order_m: float,
     rho: float,
     delta: float,
@@ -197,20 +188,20 @@ def class_check(
     n2: int,
     probe_window: Window,
     grid: TorusGrid,
-    weight: str = "japanese-bracket",
 ) -> ClassReport:
-    """Probe |Delta_xi^alpha d_x^beta a| . w(xi)^{-(m - rho|alpha| + delta|beta|)}.
+    """Probe |Delta_xi^alpha d_x^beta a(xi, x)| . <xi>^{-(m - rho|alpha| + delta|beta|)}.
 
+    The symbol is read as a(xi, x), lattice point first, as every PdoSymbol
+    is; the weight is the Japanese bracket <xi> = sqrt(1 + |xi|^2).
     Constants are suprema over probe_window x grid for |alpha| <= n1,
     |beta| <= n2.  Verdict "bounded" requires every constant at most
     CLASS_TOLERANCE and no growth beyond GROWTH_MARGIN from the inner
     half-window to the full window; a probe window with no point in its
     inner half raises ValueError.
     """
-    pdo = PdoSymbol(a.dim, lambda n, x: a.eval(x, n))
     return _class_report(
-        lambda xi: _symbol_rows(pdo, xi, grid), a.dim, order_m, rho, delta,
-        n1, n2, probe_window, grid, weight,
+        lambda xi: _symbol_rows(a, xi, grid), a.dim, order_m, rho, delta,
+        n1, n2, probe_window, grid, "japanese-bracket",
     )
 
 
@@ -221,17 +212,16 @@ def cv_check(
     n2: int,
     probe_window: Window,
     grid: TorusGrid,
-    weight: str = "one-plus-norm",
 ) -> ClassReport:
-    """L^2-boundedness condition with weight exponent (|beta| - |alpha|) rho.
+    """L^2-boundedness condition with weight (1 + |xi|)^{(|beta| - |alpha|) rho}.
 
     The pdo symbol m(n', xi) is rotated onto T^n x Z^n via the conjugation
     rule a(x, xi) = conj(m(-xi, x)), placing the difference operator and the
-    weight on the (unbounded) lattice variable.
+    weight 1 + |xi| on the (unbounded) lattice variable.
     """
     return _class_report(
         lambda xi: np.conj(_symbol_rows(m_sym, -xi, grid)), m_sym.dim, 0.0, rho,
-        rho, n1, n2, probe_window, grid, weight,
+        rho, n1, n2, probe_window, grid, "one-plus-norm",
     )
 
 
@@ -251,11 +241,11 @@ def _shell_points(dim: int, radius: int) -> np.ndarray:
     """
     if radius == 0:
         return np.zeros((1, dim), dtype=np.int64)
-    inner = np.arange(-radius + 1, radius)
-    full = np.arange(-radius, radius + 1)
     faces = []
-    for axis in range(dim):
-        axes = [inner] * axis + [np.array([-radius, radius])] + [full] * (dim - 1 - axis)
+    for axis in range(dim):  # a 1-D shell lists no range: its one face is {-r, r}
+        axes = ([np.arange(-radius + 1, radius) for _ in range(axis)]
+                + [np.array([-radius, radius])]
+                + [np.arange(-radius, radius + 1) for _ in range(axis + 1, dim)])
         mesh = np.meshgrid(*axes, indexing="ij")
         faces.append(np.stack([m.ravel() for m in mesh], axis=-1))
     return np.concatenate(faces)

@@ -45,6 +45,7 @@ from latmult.operators import (
     pdo_matrix,
     sample_multiplier,
 )
+from latmult.symbols import class_check, cv_check, gohberg_decay
 from latmult.torus import TorusGrid, dft, inverse_dft
 from latmult.verification import _band_symbol
 
@@ -535,3 +536,54 @@ def test_threads_sharing_the_block_get_their_own_symbols_rows(monkeypatch):
         sys.setswitchinterval(previous)
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
+
+
+def test_class_check_samples_its_symbol_through_the_kept_block():
+    calls = [0]
+
+    def ev(xi, x):
+        calls[0] += 1
+        return np.exp(2j * np.pi * x[0]) / (1.0 + xi[0] ** 2)
+
+    a, probe, grid = PdoSymbol(1, ev), centered_window(200), TorusGrid(1, 256)
+    first = class_check(a, 0.0, 0.0, 0.0, 2, 2, probe, grid)
+    assert calls[0] == 403 * 256  # the extended window [-200, 202] x the nodes
+    second = class_check(a, 0.0, 0.0, 0.0, 2, 2, probe, grid)
+    assert calls[0] == 403 * 256
+    assert operators._last_block[0] is a
+    assert first.rows == second.rows
+
+
+# ---- every symbol entry point refuses a dimension mismatch ---------------
+
+
+def _one_dim_symbol():
+    return PdoSymbol(1, lambda n, xi: np.exp(2j * np.pi * xi[0]) / (1 + abs(n[0])))
+
+
+def test_gohberg_decay_refuses_a_symbol_of_another_dimension():
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        gohberg_decay(_one_dim_symbol(), TorusGrid(2, 4), [0, 1, 2])
+
+
+def test_pdo_matrix_refuses_a_symbol_of_another_dimension():
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        pdo_matrix(_one_dim_symbol(), centered_window(1, 2), TorusGrid(2, 4))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        pdo_matrix(inverse_distance_pdo(1), centered_window(2), TorusGrid(2, 4))
+
+
+def test_apply_pdo_refuses_an_output_window_of_another_dimension():
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        apply_pdo(_one_dim_symbol(), delta(0), TorusGrid(1, 8), centered_window(1, 2))
+
+
+def test_conjugation_residual_and_cv_check_refuse_a_dimension_mismatch():
+    grid = TorusGrid(2, 4)
+    for call in (
+        lambda: conjugation_residual(_one_dim_symbol(), grid, centered_window(1, 2)),
+        lambda: conjugation_residual(inverse_distance_pdo(2), grid, centered_window(1)),
+        lambda: cv_check(_one_dim_symbol(), 0.0, 1, 1, centered_window(2, 2), grid),
+    ):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            call()

@@ -8,6 +8,7 @@ node), phases formed in floats.  Agreement is required entrywise within
 
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -215,12 +216,38 @@ def oracle_shell(dim, radius):
     return [p for p in pts if max(abs(c) for c in p) == radius]
 
 
+def face_by_face_shell(dim, radius):
+    """The shell as _shell_points built it with both ranges listed up front."""
+    if radius == 0:
+        return np.zeros((1, dim), dtype=np.int64)
+    inner, full = np.arange(-radius + 1, radius), np.arange(-radius, radius + 1)
+    faces = []
+    for axis in range(dim):
+        axes = [inner] * axis + [np.array([-radius, radius])] + [full] * (dim - 1 - axis)
+        mesh = np.meshgrid(*axes, indexing="ij")
+        faces.append(np.stack([m.ravel() for m in mesh], axis=-1))
+    return np.concatenate(faces)
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_shell_points_are_the_filtered_cube_boundary(dim):
-    for radius in range(5):
+    for radius in range(6):
         got = _shell_points(dim, radius)
         assert got.dtype == np.int64
         assert sorted(map(tuple, got.tolist())) == oracle_shell(dim, radius)
+        assert np.array_equal(got, face_by_face_shell(dim, radius))  # and in its order
+
+
+def test_a_one_dimensional_shell_lists_no_range():
+    # a range of 2r + 1 points per shell made gohberg quadratic in its largest radius
+    tracemalloc.start()
+    try:
+        got = _shell_points(1, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tolist() == [[-10**6], [10**6]]
+    assert peak < 4096
 
 
 def test_gohberg_shells_in_dim_2_match_scalar_oracle():

@@ -13,7 +13,6 @@ from latmult.catalog import (
 from latmult.lattice import Window, box, centered_window
 from latmult.operators import OperatorMatrix, PdoSymbol, pdo_matrix
 from latmult.symbols import (
-    ToroidalSymbol,
     class_check,
     cv_check,
     gohberg_decay,
@@ -31,13 +30,13 @@ def _sup(a, n1, n2, window, grid):
 
 def test_difference_first_order():
     # Delta xi^2 = (xi+1)^2 - xi^2 = 2 xi + 1: sup 7 on [-3, 3], 3 on the inner [-1, 1]
-    a = ToroidalSymbol(1, lambda x, xi: float(xi[0] ** 2))
+    a = PdoSymbol(1, lambda xi, x: float(xi[0] ** 2))
     sup = _sup(a, 1, 0, centered_window(3), TorusGrid(1, 4))
     assert sup[(1,), (0,)] == (7.0, 3.0)
 
 
 def test_difference_second_order_annihilates_affine():
-    a = ToroidalSymbol(1, lambda x, xi: 3.0 * xi[0] + 7.0)
+    a = PdoSymbol(1, lambda xi, x: 3.0 * xi[0] + 7.0)
     sup = _sup(a, 2, 0, centered_window(3), TorusGrid(1, 4))
     assert sup[(1,), (0,)] == (3.0, 3.0)
     assert sup[(2,), (0,)] == (0.0, 0.0)
@@ -45,27 +44,27 @@ def test_difference_second_order_annihilates_affine():
 
 def test_difference_order_zero_is_identity():
     # sup |xi_1 + i xi_2| = |2 + 2i| on the 5x5 window, |1 + i| on its inner 3x3
-    a = ToroidalSymbol(2, lambda x, xi: complex(xi[0], xi[1]))
+    a = PdoSymbol(2, lambda xi, x: complex(xi[0], xi[1]))
     sup = _sup(a, 0, 0, centered_window(2, 2), TorusGrid(2, 2))
     assert sup[(0, 0), (0, 0)] == (abs(2 + 2j), abs(1 + 1j))
 
 
 def test_difference_mixed_partial():
     # Delta_1 Delta_2 (xi_1 xi_2) = 1 everywhere
-    a = ToroidalSymbol(2, lambda x, xi: float(xi[0] * xi[1]))
+    a = PdoSymbol(2, lambda xi, x: float(xi[0] * xi[1]))
     sup = _sup(a, 2, 0, centered_window(3, 2), TorusGrid(2, 2))
     assert sup[(1, 1), (0, 0)] == (1.0, 1.0)
 
 
 def test_difference_rejects_negative_order():
-    a = ToroidalSymbol(1, lambda x, xi: 0.0)
+    a = PdoSymbol(1, lambda xi, x: 0.0)
     with pytest.raises(ValueError, match=">= 0"):
         class_check(a, 0.0, 0.0, 0.0, -1, 0, centered_window(2), TorusGrid(1, 4))
 
 
 def test_torus_derivative_of_wave():
     # |d_x e^{2 pi i 3 x}| = 6 pi
-    a = ToroidalSymbol(1, lambda x, xi: np.exp(2j * np.pi * 3 * x[0]))
+    a = PdoSymbol(1, lambda xi, x: np.exp(2j * np.pi * 3 * x[0]))
     const, inner = _sup(a, 0, 1, centered_window(2), TorusGrid(1, 32))[(0,), (1,)]
     assert const == pytest.approx(6 * np.pi, rel=1e-12)
     assert inner == pytest.approx(6 * np.pi, rel=1e-12)
@@ -73,26 +72,26 @@ def test_torus_derivative_of_wave():
 
 def test_torus_derivative_of_cosine_second_order():
     # sup |d_x^2 cos(2 pi x)| = (2 pi)^2, at the node x = 0
-    a = ToroidalSymbol(1, lambda x, xi: np.cos(2 * np.pi * x[0]))
+    a = PdoSymbol(1, lambda xi, x: np.cos(2 * np.pi * x[0]))
     const, _ = _sup(a, 0, 2, centered_window(2), TorusGrid(1, 64))[(0,), (2,)]
     assert const == pytest.approx((2 * np.pi) ** 2, rel=1e-9)
 
 
 def test_torus_derivative_dim2_mixed():
     # |d_x1 d_x2 e^{2 pi i (2 x_1 - x_2)}| = |(4 pi i)(-2 pi i)| = 8 pi^2
-    a = ToroidalSymbol(2, lambda x, xi: np.exp(2j * np.pi * (2 * x[0] - x[1])))
+    a = PdoSymbol(2, lambda xi, x: np.exp(2j * np.pi * (2 * x[0] - x[1])))
     const, _ = _sup(a, 0, 2, centered_window(2, 2), TorusGrid(2, 16))[(0, 0), (1, 1)]
     assert const == pytest.approx(8 * np.pi**2, rel=1e-10)
 
 
 def test_torus_derivative_dimension_guard():
-    a = ToroidalSymbol(1, lambda x, xi: 1.0)
+    a = PdoSymbol(1, lambda xi, x: 1.0)
     with pytest.raises(ValueError, match="dimension mismatch"):
         class_check(a, 0.0, 0.0, 0.0, 0, 1, centered_window(2), TorusGrid(2, 8))
 
 
 def test_torus_derivative_rejects_negative_order():
-    a = ToroidalSymbol(1, lambda x, xi: 1.0)
+    a = PdoSymbol(1, lambda xi, x: 1.0)
     with pytest.raises(ValueError, match=">= 0"):
         class_check(a, 0.0, 0.0, 0.0, 0, -1, centered_window(2), TorusGrid(1, 8))
 
@@ -100,8 +99,8 @@ def test_torus_derivative_rejects_negative_order():
 def test_class_check_bracket_power_symbol():
     # a(x, xi) = <xi>^{m0} lies in S^{m0}_{1,0}; observed constants stay near 1
     m0 = 1.5
-    a = ToroidalSymbol(
-        1, lambda x, xi: (1.0 + xi[0] ** 2) ** (m0 / 2.0)
+    a = PdoSymbol(
+        1, lambda xi, x: (1.0 + xi[0] ** 2) ** (m0 / 2.0)
     )
     report = class_check(
         a, m0, 0.0, 0.0, 2, 2, centered_window(10), TorusGrid(1, 16)
@@ -111,7 +110,7 @@ def test_class_check_bracket_power_symbol():
 
 
 def test_class_check_oscillatory_x_symbol_order_zero():
-    a = ToroidalSymbol(1, lambda x, xi: np.exp(2j * np.pi * x[0]))
+    a = PdoSymbol(1, lambda xi, x: np.exp(2j * np.pi * x[0]))
     report = class_check(
         a, 0.0, 0.0, 0.0, 1, 2, centered_window(8), TorusGrid(1, 32)
     )
@@ -123,7 +122,7 @@ def test_class_check_oscillatory_x_symbol_order_zero():
 
 
 def test_class_check_flags_growing_symbol():
-    a = ToroidalSymbol(1, lambda x, xi: float(xi[0]))
+    a = PdoSymbol(1, lambda xi, x: float(xi[0]))
     report = class_check(
         a, 0.0, 0.0, 0.0, 1, 0, centered_window(16), TorusGrid(1, 8)
     )
@@ -133,7 +132,7 @@ def test_class_check_flags_growing_symbol():
 
 
 def test_class_check_rejects_bad_exponents():
-    a = ToroidalSymbol(1, lambda x, xi: 1.0)
+    a = PdoSymbol(1, lambda xi, x: 1.0)
     w, g = centered_window(2), TorusGrid(1, 4)
     with pytest.raises(ValueError):
         class_check(a, 0.0, 1.0, 0.0, 1, 1, w, g)
@@ -165,7 +164,7 @@ def test_cv_check_coordinate_symbol_unbounded():
 def test_negative_orders_are_rejected():
     # an empty row list used to certify the unbounded coordinate symbol
     probe, grid = centered_window(12), TorusGrid(1, 16)
-    a = ToroidalSymbol(1, lambda x, xi: float(xi[0]))
+    a = PdoSymbol(1, lambda xi, x: float(xi[0]))
     for n1, n2 in ((1, -1), (-1, 1)):
         with pytest.raises(ValueError, match=">= 0"):
             cv_check(coordinate_pdo(), 0.5, n1, n2, probe, grid)
@@ -181,7 +180,7 @@ def test_class_sample_cap_is_checked_before_listing_the_probe_window():
     tracemalloc.start()
     try:
         for call in (
-            lambda: class_check(ToroidalSymbol(1, never), 0.0, 0.0, 0.0, 1, 1, probe, grid),
+            lambda: class_check(PdoSymbol(1, never), 0.0, 0.0, 0.0, 1, 1, probe, grid),
             lambda: cv_check(PdoSymbol(1, never), 0.0, 1, 1, probe, grid),
         ):
             with pytest.raises(ValueError, match="symbol samples"):
@@ -271,6 +270,6 @@ def test_class_check_rejects_probe_window_with_empty_inner_half():
     with pytest.raises(ValueError, match="inner half"):
         cv_check(PdoSymbol(1, lambda n, xi: 1.0), 0.0, 1, 1, window, grid)
     with pytest.raises(ValueError, match="inner half"):
-        class_check(ToroidalSymbol(1, lambda x, xi: 1.0), 0.0, 0.0, 0.0, 1, 1, window, grid)
+        class_check(PdoSymbol(1, lambda xi, x: 1.0), 0.0, 0.0, 0.0, 1, 1, window, grid)
     report = cv_check(PdoSymbol(1, lambda n, xi: 1.0), 0.0, 1, 1, Window(1, (5,), (10,)), grid)
     assert report.verdict == "bounded"
