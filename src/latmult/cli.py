@@ -211,10 +211,10 @@ def cmd_classify(args) -> int:
         "p": _fmt(args.p),
         "weak_1p": verdict.weak_1p,
         "strong_1p": verdict.strong_1p,
-        "weak_norm": None if wn.divergent else _fmt(wn.value),
-        "weak_norm_divergent": wn.divergent,
-        "strong_norm": None if sn.divergent else _fmt(sn.value),
-        "strong_norm_divergent": sn.divergent,
+        "weak_norm": None if wn is None else _fmt(wn),
+        "weak_norm_divergent": wn is None,
+        "strong_norm": None if sn is None else _fmt(sn),
+        "strong_norm_divergent": sn is None,
     }
     if args.q is not None:
         result["q"] = _fmt(args.q)
@@ -249,7 +249,7 @@ def _scan_cell(k: int, lam: float, gamma: float, p: float, q: float, terms: int)
     verdict = classify_weak_and_strong(params, p)
     wk = max(1.0, terms ** (1.0 / p - lam))
     sn = strong_norm_closed_form(params, p)
-    st = zeta(lam * p, terms) ** (1.0 / p) if sn.divergent else sn.value
+    st = zeta(lam * p, terms) ** (1.0 / p) if sn is None else sn
     if 1.0 <= q < p and 0 < lam < 1:
         predicted = classify_conjecture1(p, q, lam, k)
     else:

@@ -3,8 +3,8 @@
 The operator with parameters (k, lambda, gamma) convolves with the kernel
 supported on the k-th powers m^k, m >= 1, with values m^{-lambda - i gamma}.
 Closed-form strong and weak norms, boundedness classification, symbol partial
-sums and the L^{2k} norm probe all live here.  Divergent norms are reported
-through an explicit flag, never as a floating-point infinity.
+sums and the L^{2k} norm probe all live here.  A divergent norm is reported
+as None, never as a floating-point infinity.
 """
 
 from __future__ import annotations
@@ -59,19 +59,6 @@ class FractionalParams:
             raise ValueError(f"decay must lie in (0, 1], got {self.decay}")
         if not math.isfinite(self.oscillation):
             raise ValueError(f"oscillation must be finite, got {self.oscillation}")
-
-
-@dataclass(frozen=True)
-class NormResult:
-    """A norm value that may diverge; `value` is None iff divergent."""
-
-    divergent: bool
-    value: float | None = None
-
-    def __float__(self) -> float:
-        if self.divergent:
-            raise ValueError("divergent norm has no finite value")
-        return self.value
 
 
 def _coefficients(params: FractionalParams, m: np.ndarray) -> np.ndarray:
@@ -176,15 +163,13 @@ def apply_fractional(
     return from_arrays(n[:, None], v[row] * _shift_coefficients(params, m, m_lo, m_hi))
 
 
-def weak_norm_closed_form(params: FractionalParams, p: float) -> NormResult:
-    """Weak-l^{p,inf} norm of the full kernel: 1 when weak type (1,p), else divergent.
+def weak_norm_closed_form(params: FractionalParams, p: float) -> float | None:
+    """Weak-l^{p,inf} norm of the full kernel: 1 when weak type (1,p), else None.
 
     The alpha-supremum collapses to sup_{m>=1} m^{1/p - decay} because the
     rearranged kernel magnitudes are exactly j^{-decay}.
     """
-    if classify_weak_and_strong(params, p).weak_1p:
-        return NormResult(divergent=False, value=1.0)
-    return NormResult(divergent=True)
+    return 1.0 if classify_weak_and_strong(params, p).weak_1p else None
 
 
 # B_2j / (2j)! for j = 1..7: the Euler-Maclaurin coefficients that zeta uses.
@@ -226,18 +211,21 @@ def zeta(s: float, terms: float = math.inf) -> float:
     return math.fsum(head + [integral] + ends)
 
 
-def strong_norm_closed_form(params: FractionalParams, p: float) -> NormResult:
-    """l^p norm of the full kernel: zeta(decay*p)^{1/p} when l^1 -> l^p bounded.
+def strong_norm_closed_form(params: FractionalParams, p: float) -> float | None:
+    """l^p norm of the full kernel: zeta(decay*p)^{1/p} when l^1 -> l^p bounded,
+    else None.
 
-    Raises ValueError in the one-ulp band where decay > 1/p but the float
-    decay*p is not above 1.
+    Where decay*p exceeds 1 by e <= 2^-53, so that its float is 1, zeta(1 + e)
+    is 1/e + Euler's gamma to double precision (the next Laurent term is
+    0.0728 e), with 1/e taken exactly from the integer ratios.
     """
     if not classify_weak_and_strong(params, p).strong_1p:
-        return NormResult(divergent=True)
+        return None
     s = params.decay * p
-    if not s > 1:
-        raise ValueError(f"decay > 1/p, but the float decay * p = {s!r} is not above 1")
-    return NormResult(divergent=False, value=zeta(s) ** (1.0 / p))
+    if s > 1:
+        return zeta(s) ** (1.0 / p)
+    (n, d), (pn, pd) = params.decay.as_integer_ratio(), p.as_integer_ratio()
+    return (d * pd / (n * pn - d * pd) + np.euler_gamma) ** (1.0 / p)  # e = (n pn - d pd)/(d pd)
 
 
 @dataclass(frozen=True)
@@ -246,23 +234,35 @@ class TypeVerdict:
     strong_1p: bool
 
 
+def _inverse(x: float) -> tuple[int, int]:
+    """1/x for a float x > 0 as an exact ratio (numerator, denominator > 0);
+    0/1 at x = inf."""
+    if x == math.inf:
+        return 0, 1
+    num, den = x.as_integer_ratio()
+    return den, num
+
+
 def classify_weak_and_strong(params: FractionalParams, p: float) -> TypeVerdict:
     """Weak type (1,p) iff decay >= 1/p; l^1 -> l^p bounded iff decay > 1/p.
 
     The one place these thresholds are written; the closed-form norms follow it.
+    Both are decided on the exact values of the floats, by cross-multiplying
+    their integer ratios, so no rounding of 1/p or decay * p moves a verdict.
     """
     if not p > 1:
         raise ValueError(f"p must be > 1, got {p}")
-    return TypeVerdict(
-        weak_1p=params.decay >= 1.0 / p, strong_1p=params.decay > 1.0 / p
-    )
+    (n, d), (u, v) = params.decay.as_integer_ratio(), _inverse(p)  # decay = n/d, 1/p = u/v
+    return TypeVerdict(weak_1p=n * v >= u * d, strong_1p=n * v > u * d)
 
 
 def classify_conjecture1(p: float, q: float, lam: float, k: int) -> bool:
     """Predicted l^q -> l^p boundedness for the fractional operator.
 
-    Conjunction of 1/p <= 1/q - (1-lam)/k with 1/p < lam and 1/q > 1 - lam.
-    At q = 1 this reduces to the proven strong-type threshold lam > 1/p.
+    Conjunction of 1/p <= 1/q - (1-lam)/k with 1/p < lam and 1/q > 1 - lam,
+    each decided on the exact values of the floats, as classify_weak_and_strong
+    decides its thresholds.  At q = 1 this reduces to the proven strong-type
+    threshold lam > 1/p.
     """
     if not (1 <= q < p):
         raise ValueError(f"need 1 <= q < p, got q={q}, p={p}")
@@ -270,7 +270,10 @@ def classify_conjecture1(p: float, q: float, lam: float, k: int) -> bool:
         raise ValueError(f"need 0 < lam < 1, got {lam}")
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
-    return 1.0 / p <= 1.0 / q - (1.0 - lam) / k and 1.0 / p < lam and 1.0 / q > 1.0 - lam
+    (u, v), (a, b) = _inverse(p), _inverse(q)  # 1/p = u/v, 1/q = a/b
+    n, d = lam.as_integer_ratio()  # lam = n/d, so 1 - lam = (d - n)/d
+    return (u * b * d * k <= a * v * d * k - (d - n) * v * b
+            and u * d < n * v and a * d > (d - n) * b)
 
 
 @dataclass(frozen=True, eq=False)

@@ -106,7 +106,7 @@ class LatticeSequence:
         """Row of point in the support, by binary search one axis at a time."""
         key = as_index(point)
         if len(key) != self.dim:
-            return None
+            raise ValueError(f"point {key} does not have dim {self.dim}")
         lo, hi = 0, len(self.val)
         for d, c in enumerate(key):
             col = self.idx[lo:hi, d]
@@ -114,7 +114,7 @@ class LatticeSequence:
         return lo if lo < hi else None
 
     def __getitem__(self, point) -> complex:
-        """f(point); 0 off the support."""
+        """f(point); 0 off the support, ValueError for a point of another dim."""
         row = self._row(point)
         return 0j if row is None else complex(self.val[row])
 

@@ -7,15 +7,10 @@ window.  A multiplier is the dft of its finite kernel k = F^{-1} m, so its
 l^1 -> l^{p,inf} and l^1 -> l^p operator norms, attained by delta inputs, are
 the norms of k, exact.
 
-Every symbol is a PdoSymbol a(n, xi), lattice point first.  Symbols are
-sampled at the nodes of a grid, by one function: _symbol_rows samples a
-symbol on (lattice points) x (grid nodes) through its `rows(n, grid)` when it
-has one, and through the scalar `eval` otherwise, and refuses a symbol, grid
-or point array of different dimensions.  The scalar route keeps the rows of the
-last (symbol, grid) it sampled, so consecutive calls on the same symbol and
-grid evaluate each lattice point once; `eval` must therefore be a pure
-function of (n, xi).  sample_multiplier is dft(kernel), one FFT that is exact
-on the grid.
+Every symbol is a PdoSymbol a(n, xi), lattice point first.  One function,
+_symbol_rows, samples it on (lattice points) x (grid nodes); its docstring
+states what the scalar route asks of `eval`.  sample_multiplier is
+dft(kernel), one FFT that is exact on the grid.
 """
 
 from __future__ import annotations
@@ -51,11 +46,8 @@ class MultiplierSymbol:
 
 @dataclass(frozen=True)
 class PdoSymbol:
-    """Evaluator (n', xi) -> complex for a pseudo-differential operator.
-
-    `eval` must be a pure function of (n', xi): the library samples a symbol
-    once and reuses the samples, within a call and, for a symbol without
-    `rows`, across calls with the same symbol object and grid (_symbol_rows).
+    """Evaluator (n', xi) -> complex for a pseudo-differential operator; see
+    _symbol_rows for what the library assumes of `eval`.
 
     `rows`, when given, is the same symbol sampled on a grid: rows(n, grid)
     with n a (K, dim) int64 array of lattice points returns a complex array
@@ -109,16 +101,17 @@ _last_block: tuple = (None, None, {})
 def _symbol_rows(a: PdoSymbol, points: np.ndarray, grid: TorusGrid) -> np.ndarray:
     """(K, M^dim) samples a(n, xi) at K int64 lattice points n and the grid nodes xi.
 
-    The only place a symbol is sampled on a grid, and where its dimension is
-    checked: ValueError unless a.dim == grid.dim ==
-    points.shape[1].  Samples come through a.rows when the symbol has it,
-    one scalar a.eval call per entry otherwise.  The scalar
-    route keeps one block, the rows of the last symbol (matched by identity)
-    on the last grid (matched by equality), and evaluates only the rows the
-    block lacks, in point and node order, so a.eval must be a pure function
-    of (n, xi).  A different symbol or grid, or a block that would pass
-    MAX_SYMBOL_SAMPLES with the new rows, starts a new block, so the samples
-    kept between calls stay under the same cap.
+    The only place a symbol is sampled on a grid, and the one place its
+    dimension is checked: ValueError unless a.dim == grid.dim ==
+    points.shape[1].  Samples come through a.rows when the symbol has it.
+    Otherwise each entry is one scalar a.eval call, on these terms:
+    - a.eval must be a pure function of (n, xi): samples are reused within a
+      call and across calls.
+    - One block is kept: the rows of the last symbol (matched by identity) on
+      the last grid (matched by equality).  Only the rows it lacks are
+      evaluated, in point and node order.
+    - The block holds at most MAX_SYMBOL_SAMPLES samples: a different symbol
+      or grid, or new rows that would pass the cap, start a new block.
     """
     global _last_block
     if not a.dim == grid.dim == points.shape[1]:

@@ -60,7 +60,6 @@ class ClassRow:
     alpha: MultiIndex
     beta: MultiIndex
     constant: float
-    weight_exponent: float
     inner_constant: float
     growing: bool
 
@@ -71,16 +70,11 @@ class ClassReport:
 
     `growing` rows are those whose weighted supremum keeps increasing from
     the inner half of the lattice probe window to the full window; any such
-    row, or any constant above the tolerance, makes the verdict "unbounded".
+    row, or any constant above CLASS_TOLERANCE, makes the verdict "unbounded".
     """
 
     rows: list[ClassRow]
     verdict: str
-    order: float
-    rho: float
-    delta: float
-    weight: str
-    tolerance: float
     probe_window: Window
     resolution: int
 
@@ -111,7 +105,6 @@ def _orders_up_to(dim: int, total: int) -> list[MultiIndex]:
 
 def _class_report(
     sample: Callable[[np.ndarray], np.ndarray],
-    dim: int,
     order_m: float,
     rho: float,
     delta: float,
@@ -121,20 +114,22 @@ def _class_report(
     grid: TorusGrid,
     weight: str,
 ) -> ClassReport:
-    """The class check on sample(xi) = (K, M^dim) symbol rows at K int64 points xi."""
+    """The class check on sample(xi) = (K, M^dim) symbol rows at K int64 points xi.
+
+    The probe window gives the dimension; sample refuses a symbol or grid of
+    another (operators._symbol_rows).
+    """
     if not 0 <= rho < 1:
         raise ValueError(f"rho must lie in [0, 1), got {rho}")
     if not 0 <= delta <= 1:
         raise ValueError(f"delta must lie in [0, 1], got {delta}")
     if n1 < 0 or n2 < 0:
         raise ValueError(f"n1 and n2 must be >= 0, got {n1}, {n2}")
-    if dim != probe_window.dim or dim != grid.dim:
-        raise ValueError("dimension mismatch")
 
+    dim, widths = probe_window.dim, probe_window.widths
     extended = Window(dim, probe_window.lo, tuple(h + n1 for h in probe_window.hi))
     check_budget(extended.cardinality * grid.node_count, "symbol samples", MAX_SYMBOL_SAMPLES)
     M = grid.resolution
-    widths = tuple(h - l + 1 for l, h in zip(probe_window.lo, probe_window.hi))
     points = probe_window.indices().reshape(widths + (dim,))
     w = _weights(points, weight)
     sup = np.max(np.abs(points), axis=-1)
@@ -143,9 +138,7 @@ def _class_report(
         raise ValueError(f"no point of the probe window {probe_window} is in its inner half")
 
     # (probe axes + n1) x (node axes): a lattice shift is a slice of the probe axes
-    block = sample(extended.indices()).reshape(
-        tuple(k + n1 for k in widths) + (M,) * dim
-    )
+    block = sample(extended.indices()).reshape(extended.widths + (M,) * dim)
     node_axes = tuple(range(dim, 2 * dim))
 
     rows = []
@@ -163,20 +156,9 @@ def _class_report(
             c_full = float(np.max(weighted, initial=0.0))
             c_inner = float(np.max(weighted, where=inner, initial=0.0))
             growing = c_full > 1e-9 and c_full > c_inner * (1.0 + GROWTH_MARGIN) + 1e-12
-            rows.append(ClassRow(alpha=al, beta=be, constant=c_full, weight_exponent=expo,
-                                 inner_constant=c_inner, growing=growing))
+            rows.append(ClassRow(al, be, c_full, c_inner, growing))
     bounded = all(not r.growing and r.constant <= CLASS_TOLERANCE for r in rows)
-    return ClassReport(
-        rows=rows,
-        verdict="bounded" if bounded else "unbounded",
-        order=order_m,
-        rho=rho,
-        delta=delta,
-        weight=weight,
-        tolerance=CLASS_TOLERANCE,
-        probe_window=probe_window,
-        resolution=grid.resolution,
-    )
+    return ClassReport(rows, "bounded" if bounded else "unbounded", probe_window, M)
 
 
 def class_check(
@@ -200,7 +182,7 @@ def class_check(
     inner half raises ValueError.
     """
     return _class_report(
-        lambda xi: _symbol_rows(a, xi, grid), a.dim, order_m, rho, delta,
+        lambda xi: _symbol_rows(a, xi, grid), order_m, rho, delta,
         n1, n2, probe_window, grid, "japanese-bracket",
     )
 
@@ -220,8 +202,8 @@ def cv_check(
     weight 1 + |xi| on the (unbounded) lattice variable.
     """
     return _class_report(
-        lambda xi: np.conj(_symbol_rows(m_sym, -xi, grid)), m_sym.dim, 0.0, rho,
-        rho, n1, n2, probe_window, grid, "one-plus-norm",
+        lambda xi: np.conj(_symbol_rows(m_sym, -xi, grid)), 0.0, rho, rho,
+        n1, n2, probe_window, grid, "one-plus-norm",
     )
 
 
@@ -230,7 +212,6 @@ class GohbergReport:
     radii: list[int]
     values: list[float]
     verdict: str
-    tolerance: float
 
 
 def _shell_points(dim: int, radius: int) -> np.ndarray:
@@ -284,7 +265,7 @@ def gohberg_decay(
     tail = values[len(values) // 2:]
     nonincreasing = all(b <= a + 1e-12 for a, b in zip(tail, tail[1:]))
     verdict = "consistent" if nonincreasing and tail[-1] <= tolerance else "not-compact"
-    return GohbergReport(radii, values, verdict, tolerance)
+    return GohbergReport(radii, values, verdict)
 
 
 def singular_tail(A: OperatorMatrix, count: int) -> list[float]:

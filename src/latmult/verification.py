@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable
 
 import numpy as np
@@ -295,7 +296,11 @@ def check_cv_plateau(rng: np.random.Generator, fault: str | None) -> Measurement
 
 
 def check_classifier_coherence(rng: np.random.Generator, fault: str | None) -> Measurement:
-    """Criterion 10: thresholds flip at decay = 1/p; q=1 prediction agrees."""
+    """Criterion 10: thresholds flip at decay = 1/p; q=1 prediction agrees.
+
+    The expected verdicts compare the exact values of the floats (Fraction),
+    so lam = 1.0/p, which rounds above or below 1/p, is held to its side.
+    """
     ok = True
     ps = np.linspace(1.2, 5.0, 20)
     for p in ps:
@@ -308,7 +313,8 @@ def check_classifier_coherence(rng: np.random.Generator, fault: str | None) -> M
         )[:20]
         for lam in lams:
             v = classify_weak_and_strong(FractionalParams(2, lam), p)
-            if v.weak_1p != (lam >= 1.0 / p) or v.strong_1p != (lam > 1.0 / p):
+            lam_p = Fraction(lam) * Fraction(p)
+            if v.weak_1p != (lam_p >= 1) or v.strong_1p != (lam_p > 1):
                 ok = False
             if v.strong_1p and not v.weak_1p:
                 ok = False

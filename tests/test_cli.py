@@ -246,6 +246,20 @@ def test_apply_bad_symbol_file_exits_2(seq_file, tmp_path, symbol_file):
     assert main(argv) == 2
 
 
+@pytest.mark.parametrize("argv, err", [
+    (["apply", "--window=0:5,0:5"], "does not match dim 1"),
+    (["apply", "--symbol", "grid-file", "--symbol-file", "{tmp}/header.csv", "--window=-4:4"],
+     "bad header"),
+    (["scan", "--config", "{tmp}/nope.cfg"], "cannot read config"),
+])
+def test_typed_refusals_exit_2(seq_file, tmp_path, capsys, argv, err):
+    (tmp_path / "header.csv").write_text("M64,dim=1\nj1,re,im\n0,1.0,0.0\n")
+    if argv[0] == "apply":
+        argv = argv + ["--input", seq_file[1], "--out", str(tmp_path / "o.jsonl")]
+    assert main([a.format(tmp=tmp_path) for a in argv]) == 2
+    assert err in capsys.readouterr().err
+
+
 def test_apply_grid_file_index_beyond_int64_is_exact(tmp_path):
     # 2^64 = 0 mod 64 lies off the window's residues 1..8, so the alias check
     # passes and the identity samples give restrict(f, window) up to round-off
@@ -444,18 +458,32 @@ def test_classify_bad_lam_exits_2():
     assert main(["classify", "--k", "1", "--lam", "1.5", "--p", "2"]) == 2
 
 
-# lam > 1/p, but the float lam * p rounds to 1: a finite verdict with no finite zeta
+# lam * p exceeds 1 by about 6e-17 exactly, but the float lam * p rounds to 1
 BAND = ["--k", "2", "--lam", "0.9896585408338686", "--p", "1.0104495224761239"]
+# zeta(lam * p)^(1/p) at the exact lam * p, by mpmath at 50 digits
+BAND_STRONG_NORM = 1.1179110918040486e16
 
 
-def test_classify_in_the_one_ulp_band_exits_2(capsys):
-    assert main(["classify", *BAND]) == 2
-    assert "not above 1" in capsys.readouterr().err
+def test_classify_in_the_one_ulp_band_prints_the_finite_strong_norm(capsys):
+    assert main(["classify", *BAND]) == 0
+    res = json.loads(capsys.readouterr().out)
+    assert res["strong_1p"] is True and res["strong_norm_divergent"] is False
+    assert abs(float(res["strong_norm"]) - BAND_STRONG_NORM) <= 1e-13 * BAND_STRONG_NORM
 
 
-def test_scan_in_the_one_ulp_band_exits_2(capsys):
-    assert main(["scan", "--k-list", "2", "--lam-range", BAND[3], "--p-range", BAND[5]]) == 2
-    assert "not above 1" in capsys.readouterr().err
+def test_scan_in_the_one_ulp_band_prints_the_finite_strong_norm(capsys):
+    assert main(["scan", "--k-list", "2", "--lam-range", BAND[3], "--p-range", BAND[5]]) == 0
+    row = capsys.readouterr().out.splitlines()[1].split(",")
+    assert row[-3:] == ["finite", "finite", "true"]
+    assert abs(float(row[7]) - BAND_STRONG_NORM) <= 1e-13 * BAND_STRONG_NORM
+
+
+def test_classify_lam_just_below_one_over_p_is_divergent(capsys):
+    # 0.3333333333333333 * 3 = 1 - 2^-54 exactly, though 1.0 / 3 rounds to that lam
+    assert main(["classify", "--lam", "0.3333333333333333", "--p", "3"]) == 0
+    res = json.loads(capsys.readouterr().out)
+    assert res["weak_1p"] is False and res["strong_1p"] is False
+    assert res["weak_norm"] is None and res["weak_norm_divergent"] is True
 
 
 @pytest.mark.parametrize("argv", [

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -89,9 +90,9 @@ def test_apply_delta_reproduces_kernel():
 
 
 def test_weak_norm_closed_form_threshold():
-    assert weak_norm_closed_form(FractionalParams(1, 0.5), 2.0).value == 1.0
-    assert weak_norm_closed_form(FractionalParams(1, 0.5), 3.0).value == 1.0
-    assert weak_norm_closed_form(FractionalParams(1, 0.4), 2.0).divergent
+    assert weak_norm_closed_form(FractionalParams(1, 0.5), 2.0) == 1.0
+    assert weak_norm_closed_form(FractionalParams(1, 0.5), 3.0) == 1.0
+    assert weak_norm_closed_form(FractionalParams(1, 0.4), 2.0) is None
     with pytest.raises(ValueError):
         weak_norm_closed_form(FractionalParams(1, 0.5), 1.0)
 
@@ -155,31 +156,23 @@ def test_classify_strong_norm_at_huge_and_infinite_p(capsys):
 
 def test_strong_norm_closed_form():
     res = strong_norm_closed_form(FractionalParams(1, 0.8), 2.0)
-    assert not res.divergent
-    assert res.value == pytest.approx(float(mpmath.zeta(1.6)) ** 0.5, abs=1e-10)
-    assert strong_norm_closed_form(FractionalParams(1, 0.5), 2.0).divergent
+    assert res == pytest.approx(float(mpmath.zeta(1.6)) ** 0.5, abs=1e-10)
+    assert strong_norm_closed_form(FractionalParams(1, 0.5), 2.0) is None
     # power does not enter: rearrangement is the same along m^k
     res3 = strong_norm_closed_form(FractionalParams(3, 0.8), 2.0)
-    assert res3.value == pytest.approx(res.value, rel=1e-15)
+    assert res3 == pytest.approx(res, rel=1e-15)
 
 
 def test_strong_norm_truncated_cross_check():
     p, lam, M = 2.0, 0.9, 2000
     k = fractional_kernel(FractionalParams(2, lam), M)
     truncated = lp_norm(k, p)
-    full = strong_norm_closed_form(FractionalParams(2, lam), p).value
+    full = strong_norm_closed_form(FractionalParams(2, lam), p)
     assert truncated < full
     tail = float(mpmath.zeta(lam * p)) - float(
         mpmath.nsum(lambda m: m ** (-lam * p), [1, M])
     )
     assert full**p - truncated**p == pytest.approx(tail, abs=1e-9)
-
-
-def test_norm_result_float_protocol():
-    res = weak_norm_closed_form(FractionalParams(1, 0.5), 2.0)
-    assert float(res) == 1.0
-    with pytest.raises(ValueError):
-        float(weak_norm_closed_form(FractionalParams(1, 0.1), 2.0))
 
 
 def test_classify_weak_and_strong_boundary():
@@ -212,6 +205,54 @@ def test_classifier_rejects_bad_arguments():
         classify_conjecture1(2.0, 1.0, 1.0, 1)
     with pytest.raises(ValueError):
         classify_conjecture1(2.0, 1.0, 0.5, 0)
+
+
+def test_apply_fractional_refuses_a_two_dimensional_input_or_window():
+    with pytest.raises(ValueError, match="dimension-1"):
+        apply_fractional(FractionalParams(1, 0.5), delta((0, 0)), box((0, 0), (2, 2)))
+    with pytest.raises(ValueError, match="dimension-1"):
+        apply_fractional(FractionalParams(1, 0.5), delta(0), box((0, 0), (2, 2)))
+
+
+def _around(x: float) -> list[float]:
+    return [math.nextafter(x, 0.0), x, math.nextafter(x, math.inf)]
+
+
+@st.composite
+def _verdict_inputs(draw):
+    """(lam, p, q, k) with lam at, next to, or away from 1.0/p, and q at, next to, or
+    away from the two conjecture thresholds 1/q = 1 - lam and 1/q = 1/p + (1-lam)/k."""
+    p = draw(st.floats(1.0, 64.0, exclude_min=True))
+    k = draw(st.integers(1, 5))
+    lam = draw(st.sampled_from(_around(1.0 / p)) | st.floats(1e-3, 1.0))
+    qs = st.floats(1.0, p)
+    if lam < 1:
+        qs |= st.sampled_from(_around(1.0 / (1.0 - lam))
+                              + _around(1.0 / (1.0 / p + (1.0 - lam) / k)))
+    return lam, p, draw(qs), k
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(_verdict_inputs())
+def test_verdicts_agree_with_fractions_at_the_thresholds(args):
+    lam, p, q, k = args
+    L, P, Q = Fraction(lam), Fraction(p), Fraction(q)
+    v = classify_weak_and_strong(FractionalParams(k, lam), p)
+    assert (v.weak_1p, v.strong_1p) == (L * P >= 1, L * P > 1)
+    if 1 <= q < p and lam < 1:
+        want = 1 / P <= 1 / Q - (1 - L) / k and 1 / P < L and 1 / Q > 1 - L
+        assert classify_conjecture1(p, q, lam, k) == want
+
+
+@pytest.mark.parametrize("lam, p", [(0.4, 2.5), (0.9896585408338686, 1.0104495224761239)])
+def test_strong_norm_where_lam_p_rounds_to_one_matches_mpmath(lam, p):
+    # lam * p exceeds 1 by e < 2^-53 exactly, and the float product is 1
+    e = Fraction(lam) * Fraction(p) - 1
+    assert 0 < e <= Fraction(1, 2**53) and lam * p == 1.0
+    got = strong_norm_closed_form(FractionalParams(2, lam), p)
+    with mpmath.workdps(50):
+        want = mpmath.zeta(1 + mpmath.mpf(e.numerator) / e.denominator) ** (1 / mpmath.mpf(p))
+        assert abs(got - want) <= 1e-13 * want
 
 
 def test_symbol_partial_sum_matches_kernel_dft():

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latmult.lattice import (
+    LatticeSequence,
+    Window,
     add,
     box,
     convolve,
@@ -148,3 +150,26 @@ def test_jsonl_round_trip(tmp_path):
     save_jsonl(f, path)
     g = load_jsonl(path)
     assert g == f  # bit-exact for finite doubles
+
+
+def test_lookup_refuses_a_point_of_another_dimension():
+    with pytest.raises(ValueError, match="does not have dim 1"):
+        sequence(1, {(3,): 2})[(3, 0)]
+    with pytest.raises(ValueError, match="does not have dim 2"):
+        sequence(2, {(1, 2): 1})[1]
+
+
+@pytest.mark.parametrize("build, err", [
+    (lambda: add(delta(0), delta((0, 0))), "dimension mismatch"),
+    (lambda: convolve(delta(0), delta((0, 0))), "dimension mismatch"),
+    (lambda: sequence(2, {(1,): 1.0}), "does not have dim 2"),
+    (lambda: Window(2, (0,), (1, 1)), "must match dim"),
+    (lambda: LatticeSequence(np.zeros(3, dtype=np.int64), np.zeros(3, complex)), "dim must be"),
+    (lambda: LatticeSequence(np.zeros((3, 0), dtype=np.int64), np.zeros(3, complex)),
+     "dim must be"),
+    (lambda: LatticeSequence(np.zeros((3, 1), dtype=np.int64), np.zeros(2, complex)),
+     "one value per support point"),
+])
+def test_typed_refusals(build, err):
+    with pytest.raises(ValueError, match=err):
+        build()

@@ -587,3 +587,8 @@ def test_conjugation_residual_and_cv_check_refuse_a_dimension_mismatch():
     ):
         with pytest.raises(ValueError, match="dimension mismatch"):
             call()
+
+
+def test_operator_matrix_refuses_a_shape_other_than_the_window_side():
+    with pytest.raises(ValueError, match="matrix shape"):
+        OperatorMatrix(centered_window(1), np.zeros((2, 2), dtype=np.complex128))

@@ -5,6 +5,7 @@ changes a result its oracles check, fails here instead of in a benchmark run.
 """
 
 import inspect
+import itertools
 import sys
 from pathlib import Path
 
@@ -59,6 +60,50 @@ def test_every_workload_passes_its_checks(perfbench, tmp_path):
         assert ops.attempted > 0
         unexpected[name] = ops.unexpected
     assert unexpected == {name: [] for name in workloads.WORKLOADS}
+
+
+def _latmult_state() -> dict:
+    """Every public attribute of every latmult module, and the keys, values and
+    items of its dicts and lists, which the tracer edits in place."""
+    state = {}
+    for name, mod in list(sys.modules.items()):
+        if mod is None or not (name == "latmult" or name.startswith("latmult.")):
+            continue
+        for attr, value in vars(mod).items():
+            if not attr.startswith("__"):
+                items = [*itertools.chain(*value.items())] if isinstance(value, dict) else value
+                state[name, attr] = [value, *(items if isinstance(value, (dict, list)) else [])]
+    return state
+
+
+def _moved(before: dict, after: dict) -> set:
+    """Keys whose object, or one of whose items, is not the same object as before."""
+    return {key for key in before.keys() | after.keys()
+            if len(before.get(key, ())) != len(after.get(key, ()))
+            or any(a is not b for a, b in zip(before[key], after[key]))}
+
+
+def test_every_workload_runs_traced_and_untraces(perfbench, tmp_path):
+    # a traced run wraps every TARGETS function and catalog symbol, so a library
+    # change that breaks the tracer fails here; uninstall must put back every
+    # module attribute, apart from the block of scalar rows the jobs left behind
+    tracing, workloads = perfbench
+    for name, workload in workloads.WORKLOADS.items():
+        workdir = tmp_path / name
+        workdir.mkdir()
+        st = workload.setup(latmult, np.random.default_rng(1), str(workdir))
+        before = _latmult_state()
+        tr, ops = tracing.Tracer(), workloads.Ops()
+        tr.install(latmult, st.symbols)
+        try:
+            job = st.jobs[0]
+            workload.check(st, job, workload.run(latmult, st, job, tr), ops)
+            layers = tr.per_layer(1)
+        finally:
+            tr.uninstall()
+        assert ops.attempted > 0 and ops.unexpected == [], name
+        assert list(layers) == list(tracing.metric_units()) and len(layers) == 58, name
+        assert _moved(before, _latmult_state()) <= {("latmult.operators", "_last_block")}, name
 
 
 def _required(fn) -> set[str]:

@@ -121,6 +121,14 @@ def test_class_check_oscillatory_x_symbol_order_zero():
     assert report.constant((1,), (0,)) == pytest.approx(0.0, abs=1e-12)
 
 
+def test_class_report_constant_of_an_unprobed_pair_raises_key_error():
+    a = PdoSymbol(1, lambda xi, x: 1.0)
+    report = class_check(a, 0.0, 0.0, 0.0, 0, 1, centered_window(4), TorusGrid(1, 8))
+    assert report.constant((0,), (1,)) == pytest.approx(0.0, abs=1e-12)
+    with pytest.raises(KeyError):
+        report.constant((1,), (0,))  # n1 = 0 probes no lattice difference
+
+
 def test_class_check_flags_growing_symbol():
     a = PdoSymbol(1, lambda xi, x: float(xi[0]))
     report = class_check(

@@ -245,3 +245,14 @@ def test_dft_of_index_beyond_int64_is_exact_mod_m():
     want = np.exp(-2j * np.pi * phase / M) @ m**-0.5
     got = dft(kern, TorusGrid(1, M)).values
     assert np.max(np.abs(got - want)) <= 1e-12 * np.sum(np.abs(kern.val))
+
+
+@pytest.mark.parametrize("build, err", [
+    (lambda: dft(delta((0, 0)), TorusGrid(1, 8)), "dimension mismatch"),
+    (lambda: inverse_dft(TorusSamples(TorusGrid(1, 8), np.zeros(8)), centered_window(1, 2)),
+     "dimension mismatch"),
+    (lambda: TorusSamples(TorusGrid(1, 8), np.zeros(7)), "expected 8 values, got 7"),
+])
+def test_typed_refusals(build, err):
+    with pytest.raises(ValueError, match=err):
+        build()
